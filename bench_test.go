@@ -11,6 +11,7 @@
 package threading_test
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -123,7 +124,11 @@ func BenchmarkAblationDeque(b *testing.B) {
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
-			m := models.NewCilkSpawnWithDeque(benchThreads, cfg.kind)
+			m, err := models.OverPool(models.CilkSpawn,
+				worksteal.NewPool(benchThreads, worksteal.WithDequeKind(cfg.kind)), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
 			defer m.Close()
 			want := kernels.FibSeq(fibN)
 			b.ResetTimer()
@@ -150,7 +155,7 @@ func BenchmarkAblationGrain(b *testing.B) {
 			name = itoa(grain)
 		}
 		b.Run("grain="+name, func(b *testing.B) {
-			m := models.NewCilkForGrain(benchThreads, grain)
+			m := models.MustNew(models.CilkFor, benchThreads, models.WithGrain(grain))
 			defer m.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -204,7 +209,8 @@ func BenchmarkLoopDist(b *testing.B) {
 		for _, part := range parts {
 			part := part
 			b.Run(k.name+"/"+part.name, func(b *testing.B) {
-				m := models.NewCilkForGrainPartitioner(benchThreads, grain, part.p)
+				m := models.MustNew(models.CilkFor, benchThreads,
+					models.WithGrain(grain), models.WithPartitioner(part.p))
 				defer m.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -236,25 +242,26 @@ func BenchmarkAblationSchedule(b *testing.B) {
 		for _, sch := range schedules {
 			sch := sch
 			b.Run(shape+"/"+sch.name, func(b *testing.B) {
-				m := models.NewOMPFor(benchThreads)
-				defer m.Close()
-				schedl := m.(models.Scheduler)
+				team := forkjoin.NewTeam(benchThreads)
+				defer team.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					schedl.Schedule(sch.s, n, func(lo, hi int) {
-						for j := lo; j < hi; j++ {
-							work := 1
-							if shape == "triangular" {
-								// Work grows with the index, like the
-								// trailing-submatrix updates in LUD.
-								work = 1 + j/(n/16+1)
+					team.Parallel(func(tc *forkjoin.Ctx) {
+						tc.ForRangeNoWait(sch.s, 0, n, func(lo, hi int) {
+							for j := lo; j < hi; j++ {
+								work := 1
+								if shape == "triangular" {
+									// Work grows with the index, like the
+									// trailing-submatrix updates in LUD.
+									work = 1 + j/(n/16+1)
+								}
+								acc := 0.0
+								for w := 0; w < work; w++ {
+									acc += x[j]
+								}
+								out[j] = acc
 							}
-							acc := 0.0
-							for w := 0; w < work; w++ {
-								acc += x[j]
-							}
-							out[j] = acc
-						}
+						})
 					})
 				}
 			})
@@ -282,17 +289,20 @@ func BenchmarkAblationBarrier(b *testing.B) {
 			if cfg.central {
 				opts = append(opts, forkjoin.WithCentralBarrier())
 			}
-			m := models.NewOMPForWithOptions(benchThreads, opts...)
+			m, err := models.OverTeam(models.OMPFor, forkjoin.NewTeam(benchThreads, opts...))
+			if err != nil {
+				b.Fatal(err)
+			}
 			defer m.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Ten dependent micro-loops -> ten barrier phases.
 				for rep := 0; rep < 10; rep++ {
-					m.ParallelFor(n, func(lo, hi int) {
+					models.Must(m.ParallelForCtx(context.Background(), n, func(lo, hi int) {
 						for j := lo; j < hi; j++ {
 							y[j] = x[j] * 2
 						}
-					})
+					}))
 				}
 			}
 		})
@@ -337,8 +347,11 @@ func BenchmarkAblationTaskPolicy(b *testing.B) {
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
-			m := models.NewOMPTaskWithOptions(benchThreads,
-				forkjoin.WithTaskPolicy(cfg.policy))
+			m, err := models.OverTeam(models.OMPTask,
+				forkjoin.NewTeam(benchThreads, forkjoin.WithTaskPolicy(cfg.policy)))
+			if err != nil {
+				b.Fatal(err)
+			}
 			defer m.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

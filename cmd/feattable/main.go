@@ -17,8 +17,8 @@ import (
 	"strconv"
 	"strings"
 
-	"threading/internal/core"
 	"threading/internal/features"
+	"threading/internal/harness"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 			nums = append(nums, n)
 		}
 	}
-	if err := core.FeatureReport(nums, os.Stdout); err != nil {
+	if err := harness.FeatureReport(nums, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "feattable: %v\n", err)
 		os.Exit(1)
 	}

@@ -114,8 +114,9 @@ func main() {
 		os.Exit(1)
 	}
 	defer m.Close()
-	if ss, ok := m.(models.ShardedStats); ok {
-		fmt.Printf("sharding: %d shards, %s balancer\n", ss.NumShards(), ss.ShardBalancer())
+	resolver, sharded := models.Resolver(m)
+	if sharded {
+		fmt.Printf("sharding: %d shards, %s balancer\n", resolver.NumShards(), resolver.BalancerName())
 	}
 
 	if w.Check != nil {
@@ -131,8 +132,8 @@ func main() {
 	// covering exactly the timed runs.
 	base, _ := m.SchedulerStats()
 	var shardBase []shard.Stat
-	if ss, ok := m.(models.ShardedStats); ok {
-		shardBase = ss.ShardSchedulerStats()
+	if sharded {
+		shardBase = resolver.ShardStats()
 	}
 
 	var ts []time.Duration
@@ -156,12 +157,12 @@ func main() {
 		for _, f := range s.Delta(base).Fields() {
 			fmt.Printf("  %-14s %d\n", f.Name+":", f.Value)
 		}
-		if ss, ok := m.(models.ShardedStats); ok {
+		if sharded {
 			baseByID := make(map[int]sched.Snapshot, len(shardBase))
 			for _, st := range shardBase {
 				baseByID[st.ID] = st.Snapshot
 			}
-			for _, st := range ss.ShardSchedulerStats() {
+			for _, st := range resolver.ShardStats() {
 				fmt.Printf("  shard s%d:\n", st.ID)
 				for _, f := range st.Snapshot.Delta(baseByID[st.ID]).Fields() {
 					fmt.Printf("    %-14s %d\n", f.Name+":", f.Value)

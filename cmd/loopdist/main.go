@@ -272,20 +272,18 @@ func measure(threads, grain int, part worksteal.Partitioner, pinned bool,
 	}
 	defer m.Close()
 	run(m) // warm-up
-	m.ResetSchedulerStats()
+	base, _ := m.SchedulerStats()
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		run(m)
 		sampleNs = append(sampleNs, time.Since(start).Nanoseconds())
 	}
-	if s, ok := m.SchedulerStats(); ok {
-		if part == worksteal.Lazy {
-			created = s.LazySplits / int64(reps)
-		} else {
-			created = s.Spawns / int64(reps)
-		}
+	end, _ := m.SchedulerStats()
+	s := end.Delta(base)
+	if part == worksteal.Lazy {
+		return sampleNs, s.LazySplits / int64(reps)
 	}
-	return sampleNs, created
+	return sampleNs, s.Spawns / int64(reps)
 }
 
 func minNs(ns []int64) int64 {

@@ -54,7 +54,6 @@ import (
 	"syscall"
 
 	"threading/internal/benchgate"
-	"threading/internal/core"
 	"threading/internal/harness"
 	"threading/internal/shard"
 	"threading/internal/tracez"
@@ -158,18 +157,20 @@ func run() int {
 		}()
 	}
 
-	cfg := core.SuiteConfig{
-		Reps:        *reps,
-		Scale:       *scale,
-		Verify:      *verify,
-		Partitioner: part,
-		Stats:       *stat,
-		CSV:         *csv,
-		KeepSamples: *out != "",
-		Tracer:      tracer,
-		Shards:      *shards,
-		Balancer:    *balStr,
-		Pinned:      *pinned,
+	cfg := harness.SuiteConfig{
+		Config: harness.Config{
+			Reps:        *reps,
+			Scale:       *scale,
+			Verify:      *verify,
+			Partitioner: part,
+			Stats:       *stat,
+			KeepSamples: *out != "",
+			Tracer:      tracer,
+			Shards:      *shards,
+			Balancer:    *balStr,
+			Pinned:      *pinned,
+		},
+		CSV: *csv,
 	}
 	if *figs != "" {
 		cfg.Experiments = strings.Split(*figs, ",")
@@ -190,7 +191,7 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	results, err := core.RunSuiteCtx(ctx, cfg, os.Stdout)
+	results, err := harness.RunSuiteCtx(ctx, cfg, os.Stdout)
 	// Export whatever completed — an interrupted sweep still leaves a
 	// compare-able partial artifact.
 	if *out != "" && len(results) > 0 {
@@ -212,7 +213,7 @@ func run() int {
 	if !*csv {
 		fmt.Println("summary (at the largest thread count):")
 		for _, r := range results {
-			s := core.Summarize(r)
+			s := harness.Summarize(r)
 			fmt.Printf("  %-6s best=%-11s worst=%-11s worst/best=%.2fx\n",
 				s.Experiment, s.Best, s.Worst, s.WorstOverBest)
 		}

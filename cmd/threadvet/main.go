@@ -14,7 +14,6 @@
 //	lockspawn    - task submission while a sync.(RW)Mutex is held
 //	atomicmix    - struct fields accessed both atomically and plainly
 //	grainconst   - constant grain/cutoff that decays to task-per-element
-//	legacyopts   - composite literal of a deprecated runtime Options struct
 //	lockorder    - mutex acquisition-order cycles, including across spawn edges
 //	blockingtask - pool-executed tasks that transitively block a worker
 //	racecapture  - unsynchronized writes to captures in parallel-loop bodies

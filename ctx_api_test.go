@@ -58,18 +58,7 @@ func TestCtxAPISurface(t *testing.T) {
 	}
 }
 
-func TestOptionCompatibility(t *testing.T) {
-	// Legacy struct literals still satisfy the variadic constructors.
-	legacyTeam := threading.NewTeam(2, threading.TeamOptions{CentralBarrier: true})
-	legacyTeam.Close()
-	legacyPool := threading.NewPool(2, threading.PoolOptions{})
-	legacyPool.Close()
-	legacyDev := threading.NewDevice("d0", threading.DeviceOptions{Units: 2})
-	if err := legacyDev.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Functional options are the preferred construction form.
+func TestFunctionalOptions(t *testing.T) {
 	team := threading.NewTeam(2, threading.WithSchedule(threading.Dynamic(8)),
 		threading.WithTaskPolicy(threading.TaskDeferred))
 	defer team.Close()

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -30,7 +31,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		sum := m.ParallelReduce(len(data), 0,
+		sum, err := m.ParallelReduceCtx(context.Background(), len(data), 0,
 			func(lo, hi int, acc float64) float64 {
 				for i := lo; i < hi; i++ {
 					acc += data[i]
@@ -39,6 +40,9 @@ func main() {
 			},
 			func(a, b float64) float64 { return a + b })
 		m.Close()
+		if err != nil { // a canceled context, or a chunk panic as *threading.PanicError
+			panic(err)
+		}
 		fmt.Printf("  %-11s sum(0..%d) = %.0f\n", name, len(data)-1, sum)
 	}
 

@@ -1,6 +1,7 @@
 package threading_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync/atomic"
@@ -20,7 +21,7 @@ func TestIntegrationTaskDependencyStencil(t *testing.T) {
 	// A 3-point stencil expressed as a task dependence graph: each
 	// cell update depends on its own previous value (out) and reads
 	// its neighbors (in). The team must discover the wavefront order.
-	team := threading.NewTeam(4, threading.TeamOptions{})
+	team := threading.NewTeam(4)
 	defer team.Close()
 
 	const cells, steps = 32, 10
@@ -102,12 +103,12 @@ func TestIntegrationPipelineOverModels(t *testing.T) {
 	p := threading.NewPipeline().
 		AddParallel("scale", func(v any) (any, error) {
 			vec := v.([]float64)
-			m.ParallelFor(len(vec), func(lo, hi int) {
+			err := m.ParallelForCtx(context.Background(), len(vec), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					vec[i] *= 2
 				}
 			})
-			return vec, nil
+			return vec, err
 		}).
 		AddSerial("sum", func(v any) (any, error) {
 			vec := v.([]float64)
@@ -165,7 +166,7 @@ func TestIntegrationOffloadMatchesHostModel(t *testing.T) {
 	}
 	defer m.Close()
 	host := make([]float64, n)
-	m.ParallelFor(n, func(lo, hi int) {
+	if err := m.ParallelForCtx(context.Background(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var s float64
 			for j := 0; j < n; j++ {
@@ -173,9 +174,11 @@ func TestIntegrationOffloadMatchesHostModel(t *testing.T) {
 			}
 			host[i] = s
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 
-	dev := threading.NewDevice("gpu0", threading.DeviceOptions{Units: 2})
+	dev := threading.NewDevice("gpu0", threading.WithUnits(2))
 	devOut := make([]float64, n)
 	dev.Target([]threading.Mapping{
 		{Host: a, Dir: threading.MapTo},
@@ -233,7 +236,7 @@ func TestIntegrationFutureGraphFanInFanOut(t *testing.T) {
 }
 
 func TestIntegrationSectionsAndSchedules(t *testing.T) {
-	team := threading.NewTeam(3, threading.TeamOptions{})
+	team := threading.NewTeam(3)
 	defer team.Close()
 	var a, b, c atomic.Int64
 	const n = 9000

@@ -4,7 +4,7 @@ package a
 import (
 	"context"
 
-	"threading/internal/models"
+	"threading/internal/forkjoin"
 	"threading/internal/worksteal"
 )
 
@@ -31,10 +31,11 @@ func methodPair(ctx context.Context, r runner) {
 	_ = ctx
 }
 
-// The real Model surface: ParallelFor/ParallelReduce/TaskRun all have
-// Ctx siblings.
-func modelLoop(ctx context.Context, m models.Model, data []float64) {
-	m.ParallelFor(len(data), func(lo, hi int) {}) // want `Model.ParallelFor is called; use ParallelForCtx`
+// The real runtime surfaces: Team.Parallel and Pool.Run keep their
+// Ctx siblings (the Model interface is Ctx-only, so it has nothing to
+// drop).
+func teamRegion(ctx context.Context, t *forkjoin.Team) {
+	t.Parallel(func(tc *forkjoin.Ctx) {}) // want `Team.Parallel is called; use ParallelCtx`
 }
 
 func poolRun(ctx context.Context, p *worksteal.Pool) {
@@ -42,8 +43,8 @@ func poolRun(ctx context.Context, p *worksteal.Pool) {
 }
 
 // The context stays visible inside function literals.
-func insideClosure(ctx context.Context, m models.Model) func() {
+func insideClosure(ctx context.Context, p *worksteal.Pool) func() {
 	return func() {
-		m.TaskRun(func(s models.TaskScope) {}) // want `Model.TaskRun is called; use TaskRunCtx`
+		p.Run(func(c *worksteal.Ctx) {}) // want `Pool.Run is called; use RunCtx`
 	}
 }

@@ -12,7 +12,8 @@ func propagates(ctx context.Context, m models.Model, data []float64) error {
 	return m.ParallelForCtx(ctx, len(data), func(lo, hi int) {})
 }
 
-// No context in scope: the legacy wrapper pattern is exactly this and
+// No context in scope: the plain-wrapper pattern (Team.Parallel over
+// ParallelCtx, Pool.Run over RunCtx) is exactly this and
 // must stay legal.
 func wrapper(n int) int {
 	return doWork(n)

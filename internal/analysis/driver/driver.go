@@ -22,7 +22,6 @@ import (
 	"threading/internal/analysis/grainconst"
 	"threading/internal/analysis/handlereuse"
 	"threading/internal/analysis/joinleak"
-	"threading/internal/analysis/legacyopts"
 	"threading/internal/analysis/load"
 	"threading/internal/analysis/lockorder"
 	"threading/internal/analysis/lockspawn"
@@ -37,7 +36,6 @@ var All = []*analysis.Analyzer{
 	grainconst.Analyzer,
 	handlereuse.Analyzer,
 	joinleak.Analyzer,
-	legacyopts.Analyzer,
 	lockorder.Analyzer,
 	lockspawn.Analyzer,
 	racecapture.Analyzer,

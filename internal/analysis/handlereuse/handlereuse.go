@@ -86,8 +86,7 @@ var classes = map[string]handleClass{
 	},
 	"threading/internal/models.Model": {
 		consume: set("Close"),
-		dead: set("Close", "ParallelFor", "ParallelForCtx",
-			"ParallelReduce", "ParallelReduceCtx", "TaskRun",
+		dead: set("Close", "ParallelForCtx", "ParallelReduceCtx",
 			"TaskRunCtx"),
 		verb: "closed",
 	},

@@ -38,10 +38,12 @@ func joinAfterDetach(t *futures.Thread) {
 
 // The Model interface carries the same Close discipline as the
 // concrete pools behind it.
-func modelAfterClose(m models.Model) {
-	m.ParallelFor(64, func(lo, hi int) {})
+func modelAfterClose(ctx context.Context, m models.Model) error {
+	if err := m.ParallelForCtx(ctx, 64, func(lo, hi int) {}); err != nil {
+		return err
+	}
 	m.Close()
-	m.ParallelFor(64, func(lo, hi int) {}) // want `ParallelFor called on "m", which was already closed`
+	return m.ParallelForCtx(ctx, 64, func(lo, hi int) {}) // want `ParallelForCtx called on "m", which was already closed`
 }
 
 // Teams too, including when the handle is a struct field.

@@ -87,11 +87,8 @@ var registry = map[string]map[string]map[string]Entry{
 	},
 	"threading/internal/models": {
 		"Model": {
-			"ParallelFor":       {TaskParams: []TaskParam{{Index: 1, Loop: true}}, OnCallerStack: true, Pooled: true},
 			"ParallelForCtx":    {TaskParams: []TaskParam{{Index: 2, Loop: true}}, OnCallerStack: true, Pooled: true},
-			"ParallelReduce":    {TaskParams: []TaskParam{{Index: 2, Loop: true}, {Index: 3}}, OnCallerStack: true, Pooled: true},
 			"ParallelReduceCtx": {TaskParams: []TaskParam{{Index: 3, Loop: true}, {Index: 4}}, OnCallerStack: true, Pooled: true},
-			"TaskRun":           {TaskParams: []TaskParam{{Index: 0}}, OnCallerStack: true, Pooled: true},
 			"TaskRunCtx":        {TaskParams: []TaskParam{{Index: 1}}, OnCallerStack: true, Pooled: true},
 		},
 		"TaskScope": {

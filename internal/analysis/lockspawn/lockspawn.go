@@ -3,7 +3,7 @@
 //
 // Contract encoded: the work-stealing runtime uses help-first joins —
 // a goroutine that submits work (Pool.Run/RunCtx, Ctx.Spawn/Sync,
-// ForDAC/ForEach, the task models' TaskRun/TaskRunCtx and
+// ForDAC/ForEach, the task models' TaskRunCtx and
 // TaskScope.Spawn/Sync) may execute *stolen* tasks on its own stack
 // while it waits for its subtree to drain. If the submitter holds a
 // mutex and a stolen task (or a task in the joined subtree) takes the
@@ -46,7 +46,7 @@ var submitters = map[string]map[string]map[string]bool{
 		"Ctx":  {"Spawn": true, "Sync": true, "ForDAC": true, "ForEach": true},
 	},
 	"threading/internal/models": {
-		"Model":     {"TaskRun": true, "TaskRunCtx": true},
+		"Model":     {"TaskRunCtx": true},
 		"TaskScope": {"Spawn": true, "Sync": true},
 	},
 }

@@ -32,10 +32,10 @@ func spawnUnderRLock(rw *sync.RWMutex, c *worksteal.Ctx) {
 	rw.RUnlock()
 }
 
-func taskRunUnderLock(mu *sync.Mutex, m models.Model) {
+func taskRunUnderLock(ctx context.Context, mu *sync.Mutex, m models.Model) error {
 	mu.Lock()
-	m.TaskRun(func(s models.TaskScope) {}) // want `Model.TaskRun called while "mu" is held`
-	mu.Unlock()
+	defer mu.Unlock()
+	return m.TaskRunCtx(ctx, func(s models.TaskScope) {}) // want `Model.TaskRunCtx called while "mu" is held`
 }
 
 func scopeSpawnUnderLock(mu *sync.Mutex, s models.TaskScope) {

@@ -3,6 +3,7 @@ package a
 import (
 	"context"
 
+	"threading/internal/models"
 	"threading/internal/worksteal"
 )
 
@@ -69,4 +70,17 @@ func dacAccum(p *worksteal.Pool, xs []int) int {
 		})
 	})
 	return acc
+}
+
+// The shape of every kernel in this module: the loop call is an
+// argument of models.Must, not a statement of its own. The body is
+// still a Model.ParallelForCtx body.
+func kernelShaped(m models.Model, xs []float64) float64 {
+	sum := 0.0
+	models.Must(m.ParallelForCtx(context.Background(), len(xs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sum += xs[i] // want `unsynchronized write to captured variable "sum" inside a Model.ParallelForCtx body`
+		}
+	}))
+	return sum
 }

@@ -76,23 +76,18 @@ func TestParallelCtxTaskPanicTyped(t *testing.T) {
 	}
 }
 
-func TestNewTeamOptionForms(t *testing.T) {
-	// Legacy struct literal and functional options must both work.
-	legacy := NewTeam(2, Options{CentralBarrier: true})
-	defer legacy.Close()
-	modern := NewTeam(2, WithCentralBarrier(), WithSchedule(Dynamic(4)))
-	defer modern.Close()
+func TestNewTeamOptions(t *testing.T) {
+	team := NewTeam(2, WithCentralBarrier(), WithSchedule(Dynamic(4)))
+	defer team.Close()
 
-	if modern.DefaultSchedule().Kind != ScheduleDynamic {
-		t.Fatalf("DefaultSchedule = %v, want dynamic", modern.DefaultSchedule().Kind)
+	if team.DefaultSchedule().Kind != ScheduleDynamic {
+		t.Fatalf("DefaultSchedule = %v, want dynamic", team.DefaultSchedule().Kind)
 	}
-	for _, team := range []*Team{legacy, modern} {
-		var n atomic.Int64
-		team.Parallel(func(tc *Ctx) {
-			tc.ForRange(team.DefaultSchedule(), 0, 64, func(lo, hi int) { n.Add(int64(hi - lo)) })
-		})
-		if n.Load() != 64 {
-			t.Fatalf("covered %d of 64", n.Load())
-		}
+	var n atomic.Int64
+	team.Parallel(func(tc *Ctx) {
+		tc.ForRange(team.DefaultSchedule(), 0, 64, func(lo, hi int) { n.Add(int64(hi - lo)) })
+	})
+	if n.Load() != 64 {
+		t.Fatalf("covered %d of 64", n.Load())
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTaskDependWriteAfterWrite(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	var obj int
 	const chainLen = 200
@@ -47,7 +47,7 @@ func (s *SpinOrder) Append(dst *[]int32, v int32) {
 }
 
 func TestTaskDependReadersRunConcurrentlyAfterWriter(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	var obj int
 	var writerDone atomic.Bool
@@ -85,7 +85,7 @@ func TestTaskDependReadersRunConcurrentlyAfterWriter(t *testing.T) {
 
 func TestTaskDependIndependentObjectsUnordered(t *testing.T) {
 	// Tasks on disjoint objects have no edges; all must simply run.
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	const n = 100
 	objs := make([]int, n)
@@ -106,7 +106,7 @@ func TestTaskDependIndependentObjectsUnordered(t *testing.T) {
 // TestTaskDependDiamond checks the classic diamond: A writes, B and C
 // read, D writes — D must observe both B and C.
 func TestTaskDependDiamond(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	for trial := 0; trial < 50; trial++ {
 		var x int
@@ -145,7 +145,7 @@ func TestTaskDependDiamond(t *testing.T) {
 // 1-D stencil wavefront: cell i depends on cells i-1 and i of the
 // previous step (in) and writes cell i (out).
 func TestTaskDependStencilPipeline(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	const cells, steps = 16, 8
 	// data[i] counts updates; each step must see the previous step's
@@ -186,7 +186,7 @@ func TestTaskDependStencilPipeline(t *testing.T) {
 }
 
 func TestTaskDependMixedWithPlainTasks(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	var dep, plain atomic.Int64
 	var x int
@@ -207,7 +207,7 @@ func TestTaskDependMixedWithPlainTasks(t *testing.T) {
 func TestTaskDependRegionEndDrains(t *testing.T) {
 	// Without taskwait, the implicit region end must still run the
 	// whole chain.
-	tm := NewTeam(2, Options{})
+	tm := NewTeam(2)
 	defer tm.Close()
 	var x int
 	var count atomic.Int64
@@ -224,7 +224,7 @@ func TestTaskDependRegionEndDrains(t *testing.T) {
 }
 
 func TestTaskDependPropertyChainAlwaysOrdered(t *testing.T) {
-	tm := NewTeam(3, Options{})
+	tm := NewTeam(3)
 	defer tm.Close()
 	check := func(n8 uint8) bool {
 		n := int(n8%40) + 2

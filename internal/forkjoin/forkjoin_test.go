@@ -9,7 +9,7 @@ import (
 
 func TestParallelRunsAllMembers(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
-		tm := NewTeam(n, Options{})
+		tm := NewTeam(n)
 		seen := make([]atomic.Int32, n)
 		tm.Parallel(func(tc *Ctx) {
 			seen[tc.ID()].Add(1)
@@ -27,7 +27,7 @@ func TestParallelRunsAllMembers(t *testing.T) {
 }
 
 func TestTeamReuse(t *testing.T) {
-	tm := NewTeam(3, Options{})
+	tm := NewTeam(3)
 	defer tm.Close()
 	var total atomic.Int64
 	for r := 0; r < 20; r++ {
@@ -100,7 +100,7 @@ func TestForSchedulesCoverEveryIteration(t *testing.T) {
 	}
 	for name, s := range schedules {
 		t.Run(name, func(t *testing.T) {
-			tm := NewTeam(4, Options{})
+			tm := NewTeam(4)
 			defer tm.Close()
 			const n = 50000
 			hits := make([]atomic.Int32, n)
@@ -117,7 +117,7 @@ func TestForSchedulesCoverEveryIteration(t *testing.T) {
 }
 
 func TestTwoLoopsSameRegion(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	const n = 10000
 	a := make([]int64, n)
@@ -143,7 +143,7 @@ func TestTwoLoopsSameRegion(t *testing.T) {
 }
 
 func TestForRangeEmpty(t *testing.T) {
-	tm := NewTeam(3, Options{})
+	tm := NewTeam(3)
 	defer tm.Close()
 	var calls atomic.Int64
 	tm.Parallel(func(tc *Ctx) {
@@ -157,7 +157,7 @@ func TestForRangeEmpty(t *testing.T) {
 }
 
 func TestFewerIterationsThanMembers(t *testing.T) {
-	tm := NewTeam(8, Options{})
+	tm := NewTeam(8)
 	defer tm.Close()
 	hits := make([]atomic.Int32, 3)
 	tm.Parallel(func(tc *Ctx) {
@@ -172,7 +172,7 @@ func TestFewerIterationsThanMembers(t *testing.T) {
 
 func TestReduceFloat64(t *testing.T) {
 	for _, s := range []Schedule{Static, Dynamic(128), Guided(16)} {
-		tm := NewTeam(4, Options{})
+		tm := NewTeam(4)
 		const n = 100000
 		var fromEveryMember [4]float64
 		tm.Parallel(func(tc *Ctx) {
@@ -197,7 +197,7 @@ func TestReduceFloat64(t *testing.T) {
 }
 
 func TestBarrierOrdering(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	var before, after atomic.Int64
 	tm.Parallel(func(tc *Ctx) {
@@ -214,7 +214,7 @@ func TestBarrierOrdering(t *testing.T) {
 }
 
 func TestCriticalMutualExclusion(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	counter := 0
 	tm.Parallel(func(tc *Ctx) {
@@ -228,7 +228,7 @@ func TestCriticalMutualExclusion(t *testing.T) {
 }
 
 func TestMasterOnlyMemberZero(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	var who atomic.Int64
 	who.Store(-1)
@@ -245,7 +245,7 @@ func TestMasterOnlyMemberZero(t *testing.T) {
 }
 
 func TestSingleRunsOnce(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	var runs atomic.Int64
 	var after atomic.Int64
@@ -269,8 +269,10 @@ func TestSingleRunsOnce(t *testing.T) {
 }
 
 func TestTasksAllExecute(t *testing.T) {
-	for _, opt := range []Options{{}, {LockFreeTasks: true}, {Policy: TaskImmediate}} {
-		tm := NewTeam(4, opt)
+	for name, opt := range map[string][]Option{
+		"default": nil, "lock-free": {WithLockFreeTasks()}, "immediate": {WithTaskPolicy(TaskImmediate)},
+	} {
+		tm := NewTeam(4, opt...)
 		var count atomic.Int64
 		tm.Parallel(func(tc *Ctx) {
 			tc.Master(func() {
@@ -281,13 +283,13 @@ func TestTasksAllExecute(t *testing.T) {
 		})
 		tm.Close()
 		if count.Load() != 500 {
-			t.Fatalf("opts %+v: %d tasks ran, want 500", opt, count.Load())
+			t.Fatalf("%s: %d tasks ran, want 500", name, count.Load())
 		}
 	}
 }
 
 func TestTaskwaitJoinsChildren(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	tm.Parallel(func(tc *Ctx) {
 		tc.Master(func() {
@@ -304,7 +306,7 @@ func TestTaskwaitJoinsChildren(t *testing.T) {
 }
 
 func TestNestedTasks(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	var leaves atomic.Int64
 	tm.Parallel(func(tc *Ctx) {
@@ -344,21 +346,21 @@ func taskFib(tc *Ctx, n int, out *uint64) {
 
 func TestTaskFib(t *testing.T) {
 	want := uint64(6765) // fib(20)
-	for _, opts := range []Options{{}, {LockFreeTasks: true}} {
-		tm := NewTeam(4, opts)
+	for name, opts := range map[string][]Option{"default": nil, "lock-free": {WithLockFreeTasks()}} {
+		tm := NewTeam(4, opts...)
 		var got uint64
 		tm.Parallel(func(tc *Ctx) {
 			tc.Master(func() { taskFib(tc, 20, &got) })
 		})
 		tm.Close()
 		if got != want {
-			t.Fatalf("opts %+v: fib(20) = %d, want %d", opts, got, want)
+			t.Fatalf("%s: fib(20) = %d, want %d", name, got, want)
 		}
 	}
 }
 
 func TestRegionEndDrainsTasks(t *testing.T) {
-	tm := NewTeam(4, Options{})
+	tm := NewTeam(4)
 	defer tm.Close()
 	var done atomic.Int64
 	tm.Parallel(func(tc *Ctx) {
@@ -373,7 +375,7 @@ func TestRegionEndDrainsTasks(t *testing.T) {
 }
 
 func TestPanicInRegionPropagates(t *testing.T) {
-	tm := NewTeam(2, Options{})
+	tm := NewTeam(2)
 	defer tm.Close()
 	defer func() {
 		r := recover()
@@ -392,7 +394,7 @@ func TestPanicInRegionPropagates(t *testing.T) {
 }
 
 func TestTeamSurvivesPanic(t *testing.T) {
-	tm := NewTeam(2, Options{})
+	tm := NewTeam(2)
 	defer tm.Close()
 	func() {
 		defer func() { recover() }()
@@ -406,7 +408,7 @@ func TestTeamSurvivesPanic(t *testing.T) {
 }
 
 func TestCentralBarrierOption(t *testing.T) {
-	tm := NewTeam(4, Options{CentralBarrier: true})
+	tm := NewTeam(4, WithCentralBarrier())
 	defer tm.Close()
 	var n atomic.Int64
 	tm.Parallel(func(tc *Ctx) {
@@ -426,7 +428,7 @@ func TestScheduleString(t *testing.T) {
 }
 
 func TestStatsCount(t *testing.T) {
-	tm := NewTeam(2, Options{})
+	tm := NewTeam(2)
 	defer tm.Close()
 	tm.ResetStats()
 	tm.Parallel(func(tc *Ctx) {
@@ -449,11 +451,11 @@ func TestNewTeamValidation(t *testing.T) {
 			t.Fatal("NewTeam(0) did not panic")
 		}
 	}()
-	NewTeam(0, Options{})
+	NewTeam(0)
 }
 
 func TestSize(t *testing.T) {
-	tm := NewTeam(5, Options{})
+	tm := NewTeam(5)
 	defer tm.Close()
 	if tm.Size() != 5 {
 		t.Fatalf("Size = %d, want 5", tm.Size())
@@ -461,7 +463,7 @@ func TestSize(t *testing.T) {
 }
 
 func TestSectionsEachRunsOnce(t *testing.T) {
-	tm := NewTeam(3, Options{})
+	tm := NewTeam(3)
 	defer tm.Close()
 	var counts [5]atomic.Int32
 	var after atomic.Int32
@@ -488,7 +490,7 @@ func TestSectionsEachRunsOnce(t *testing.T) {
 }
 
 func TestSectionsMoreSectionsThanMembers(t *testing.T) {
-	tm := NewTeam(2, Options{})
+	tm := NewTeam(2)
 	defer tm.Close()
 	var n atomic.Int32
 	fns := make([]func(), 20)
@@ -502,7 +504,7 @@ func TestSectionsMoreSectionsThanMembers(t *testing.T) {
 }
 
 func TestNestedParallelRejected(t *testing.T) {
-	tm := NewTeam(2, Options{})
+	tm := NewTeam(2)
 	defer tm.Close()
 	defer func() {
 		if recover() == nil {

@@ -43,13 +43,8 @@ const (
 	TaskImmediate
 )
 
-// Options configure a Team.
-//
-// Deprecated: prefer the functional options (WithLockFreeTasks,
-// WithTaskPolicy, WithCentralBarrier, WithSpinBeforeYield,
-// WithSchedule). Options remains usable — a literal passed to NewTeam
-// still applies wholesale — so existing callers compile unchanged.
-type Options struct {
+// config is a Team's resolved Option values.
+type config struct {
 	// TaskDeque selects the deque backing explicit tasks. The default
 	// deque.KindChaseLev is overridden to deque.KindLocked by NewTeam
 	// unless LockFreeTasks is set, because the modelled runtime uses
@@ -77,50 +72,48 @@ type Options struct {
 	PinWorkers bool
 }
 
-// Option configures a Team at construction. The legacy Options struct
-// itself implements Option (applying every field at once), so both
-// NewTeam(n, Options{...}) and NewTeam(n, WithCentralBarrier()) are
-// valid.
-type Option interface{ applyTeam(*Options) }
+// Option configures a Team at construction. It is an interface
+// (rather than a bare func type) so the root threading package can
+// define combined option values that satisfy several layers' option
+// types at once.
+type Option interface{ applyTeam(*config) }
 
-func (o Options) applyTeam(dst *Options) { *dst = o }
+type teamOption func(*config)
 
-type teamOption func(*Options)
-
-func (f teamOption) applyTeam(o *Options) { f(o) }
+func (f teamOption) applyTeam(o *config) { f(o) }
 
 // WithLockFreeTasks backs explicit tasks with lock-free Chase-Lev
 // deques instead of the default lock-based deques.
 func WithLockFreeTasks() Option {
-	return teamOption(func(o *Options) { o.LockFreeTasks = true })
+	return teamOption(func(o *config) { o.LockFreeTasks = true })
 }
 
 // WithTaskPolicy selects deferred or immediate task execution.
 func WithTaskPolicy(p TaskPolicy) Option {
-	return teamOption(func(o *Options) { o.Policy = p })
+	return teamOption(func(o *config) { o.Policy = p })
 }
 
 // WithCentralBarrier selects the lock-based central barrier.
 func WithCentralBarrier() Option {
-	return teamOption(func(o *Options) { o.CentralBarrier = true })
+	return teamOption(func(o *config) { o.CentralBarrier = true })
 }
 
 // WithSpinBeforeYield sets how many find-work failures a draining
 // member tolerates before yielding the processor.
 func WithSpinBeforeYield(n int) Option {
-	return teamOption(func(o *Options) { o.SpinBeforeYield = n })
+	return teamOption(func(o *config) { o.SpinBeforeYield = n })
 }
 
 // WithSchedule sets the team's default work-sharing schedule.
 func WithSchedule(s Schedule) Option {
-	return teamOption(func(o *Options) { o.DefaultSchedule = s })
+	return teamOption(func(o *config) { o.DefaultSchedule = s })
 }
 
 // WithTracer attaches a runtime-event tracer: every member records its
 // events into the tracer's ring for its member id. A nil tracer leaves
 // tracing disabled.
 func WithTracer(tr *tracez.Tracer) Option {
-	return teamOption(func(o *Options) { o.Tracer = tr })
+	return teamOption(func(o *config) { o.Tracer = tr })
 }
 
 // WithPinnedWorkers locks each persistent member goroutine (members
@@ -129,7 +122,7 @@ func WithTracer(tr *tracez.Tracer) Option {
 // scheduler's whim. Member 0 is the calling goroutine and is never
 // pinned by the team (pin it yourself if the master must not move).
 func WithPinnedWorkers(on bool) Option {
-	return teamOption(func(o *Options) { o.PinWorkers = on })
+	return teamOption(func(o *config) { o.PinWorkers = on })
 }
 
 // Team is a fixed-size group of workers executing parallel regions.
@@ -143,7 +136,7 @@ func WithPinnedWorkers(on bool) Option {
 // benchmarks.
 type Team struct {
 	n       int
-	opts    Options
+	opts    config
 	barrier syncprim.Barrier
 	members []*member
 	stats   *sched.Stats
@@ -207,13 +200,12 @@ type region struct {
 const defaultDrainSpin = 64
 
 // NewTeam creates a team of n members (including the master). n must
-// be at least 1. Options may be given either as functional options or
-// as a legacy Options literal.
+// be at least 1.
 func NewTeam(n int, options ...Option) *Team {
 	if n < 1 {
 		panic("forkjoin: team needs at least 1 member")
 	}
-	var opts Options
+	var opts config
 	for _, o := range options {
 		o.applyTeam(&opts)
 	}

@@ -156,7 +156,7 @@ type Result struct {
 	// them.
 	Sched map[string]map[int]sched.Snapshot
 	// ShardSched holds per-cell, per-shard counters for cells whose
-	// model ran sharded (models.ShardedStats), present only when the
+	// model ran sharded (models.Resolver), present only when the
 	// run was configured with Stats. The merged totals remain in Sched.
 	ShardSched map[string]map[int][]shard.Stat
 	// RawSamples holds every timed repetition per cell, in
@@ -248,9 +248,10 @@ func RunCtx(ctx context.Context, e *Experiment, cfg Config) (*Result, error) {
 			// so the reported counters are a true delta even if the
 			// runtime saw other activity.
 			base, _ := m.SchedulerStats()
+			resolver, sharded := models.Resolver(m)
 			var shardBase []shard.Stat
-			if ss, ok := m.(models.ShardedStats); ok && cfg.Stats {
-				shardBase = ss.ShardSchedulerStats()
+			if sharded && cfg.Stats {
+				shardBase = resolver.ShardStats()
 			}
 			var dropBase int64
 			if cfg.Tracer != nil {
@@ -273,11 +274,11 @@ func RunCtx(ctx context.Context, e *Experiment, cfg Config) (*Result, error) {
 					}
 					res.Sched[name][threads] = snap.Delta(base)
 				}
-				if ss, ok := m.(models.ShardedStats); ok {
+				if sharded {
 					if res.ShardSched[name] == nil {
 						res.ShardSched[name] = make(map[int][]shard.Stat)
 					}
-					res.ShardSched[name][threads] = deltaShardStats(shardBase, ss.ShardSchedulerStats())
+					res.ShardSched[name][threads] = deltaShardStats(shardBase, resolver.ShardStats())
 				}
 			}
 			if cfg.KeepSamples {

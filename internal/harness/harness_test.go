@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -39,8 +40,8 @@ func TestFig5ModelsAreTaskCapable(t *testing.T) {
 	e, _ := ByID("fig5")
 	for _, name := range e.Models {
 		m := models.MustNew(name, 1)
-		if !m.SupportsTasks() {
-			t.Errorf("fig5 includes loop-only model %s", name)
+		if err := m.TaskRunCtx(context.Background(), func(models.TaskScope) {}); err != nil {
+			t.Errorf("fig5 model %s cannot run a task tree: %v", name, err)
 		}
 		m.Close()
 	}

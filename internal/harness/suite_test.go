@@ -1,29 +1,9 @@
-package core
+package harness
 
 import (
 	"strings"
 	"testing"
 )
-
-func TestModelNames(t *testing.T) {
-	if len(ModelNames()) != 6 {
-		t.Fatalf("ModelNames = %v", ModelNames())
-	}
-}
-
-func TestNewModel(t *testing.T) {
-	m, err := NewModel("omp_for", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Threads() != 2 {
-		t.Fatalf("Threads = %d", m.Threads())
-	}
-	if _, err := NewModel("nope", 2); err == nil {
-		t.Fatal("NewModel accepted unknown name")
-	}
-}
 
 func TestFeatureReportAll(t *testing.T) {
 	var sb strings.Builder
@@ -55,11 +35,8 @@ func TestFeatureReportSelect(t *testing.T) {
 func TestRunSuiteSingle(t *testing.T) {
 	var sb strings.Builder
 	results, err := RunSuite(SuiteConfig{
+		Config:      Config{Threads: []int{1, 2}, Reps: 1, Scale: 0.002, Verify: true},
 		Experiments: []string{"fig2"},
-		Threads:     []int{1, 2},
-		Reps:        1,
-		Scale:       0.002,
-		Verify:      true,
 	}, &sb)
 	if err != nil {
 		t.Fatal(err)
@@ -82,10 +59,8 @@ func TestRunSuiteSingle(t *testing.T) {
 func TestRunSuiteCSV(t *testing.T) {
 	var sb strings.Builder
 	_, err := RunSuite(SuiteConfig{
+		Config:      Config{Threads: []int{1}, Reps: 1, Scale: 0.001},
 		Experiments: []string{"fig1"},
-		Threads:     []int{1},
-		Reps:        1,
-		Scale:       0.001,
 		CSV:         true,
 	}, &sb)
 	if err != nil {

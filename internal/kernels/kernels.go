@@ -5,7 +5,11 @@
 // under every model, so timing differences isolate the runtimes.
 package kernels
 
-import "threading/internal/models"
+import (
+	"context"
+
+	"threading/internal/models"
+)
 
 // splitmix64 advances and mixes the generator state; used for
 // deterministic workload generation without math/rand.
@@ -44,11 +48,11 @@ func AxpySeq(a float64, x, y []float64) {
 // Axpy computes y[i] += a*x[i] under model m. x and y must have equal
 // length.
 func Axpy(m models.Model, a float64, x, y []float64) {
-	m.ParallelFor(len(x), func(lo, hi int) {
+	models.Must(m.ParallelForCtx(context.Background(), len(x), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			y[i] += a * x[i]
 		}
-	})
+	}))
 }
 
 // SumSeq computes the sum of a*x[i] sequentially.
@@ -63,7 +67,7 @@ func SumSeq(a float64, x []float64) float64 {
 // Sum computes the sum of a*x[i] under model m — the paper's
 // work-sharing + reduction kernel.
 func Sum(m models.Model, a float64, x []float64) float64 {
-	return m.ParallelReduce(len(x), 0,
+	sum, err := m.ParallelReduceCtx(context.Background(), len(x), 0,
 		func(lo, hi int, acc float64) float64 {
 			for i := lo; i < hi; i++ {
 				acc += a * x[i]
@@ -71,6 +75,8 @@ func Sum(m models.Model, a float64, x []float64) float64 {
 			return acc
 		},
 		func(p, q float64) float64 { return p + q })
+	models.Must(err)
+	return sum
 }
 
 // MatvecSeq computes y = A*x for a row-major n x n matrix.
@@ -87,7 +93,7 @@ func MatvecSeq(a, x, y []float64, n int) {
 
 // Matvec computes y = A*x under model m, parallel over rows.
 func Matvec(m models.Model, a, x, y []float64, n int) {
-	m.ParallelFor(n, func(lo, hi int) {
+	models.Must(m.ParallelForCtx(context.Background(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := a[i*n : (i+1)*n]
 			var s float64
@@ -96,7 +102,7 @@ func Matvec(m models.Model, a, x, y []float64, n int) {
 			}
 			y[i] = s
 		}
-	})
+	}))
 }
 
 // MatmulSeq computes c = a*b for row-major n x n matrices using the
@@ -120,7 +126,7 @@ func MatmulSeq(a, b, c []float64, n int) {
 // Matmul computes c = a*b under model m, parallel over rows of c,
 // with the same ikj inner kernel as MatmulSeq.
 func Matmul(m models.Model, a, b, c []float64, n int) {
-	m.ParallelFor(n, func(lo, hi int) {
+	models.Must(m.ParallelForCtx(context.Background(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci := c[i*n : (i+1)*n]
 			for j := range ci {
@@ -134,7 +140,7 @@ func Matmul(m models.Model, a, b, c []float64, n int) {
 				}
 			}
 		}
-	})
+	}))
 }
 
 // FibSeq computes the nth Fibonacci number by naive recursion — the
@@ -156,9 +162,9 @@ func FibSeq(n int) uint64 {
 // m must support tasks.
 func FibTask(m models.Model, n, cutoff int) uint64 {
 	var result uint64
-	m.TaskRun(func(s models.TaskScope) {
+	models.Must(m.TaskRunCtx(context.Background(), func(s models.TaskScope) {
 		fibScope(s, n, cutoff, &result)
-	})
+	}))
 	return result
 }
 

@@ -1,6 +1,10 @@
 package kernels
 
-import "threading/internal/models"
+import (
+	"context"
+
+	"threading/internal/models"
+)
 
 // This file adds a recursive divide-and-conquer sort (merge sort, in
 // the spirit of BOTS/cilksort from the paper's related work) as an
@@ -76,9 +80,9 @@ func SortTask(m models.Model, data []float64, cutoff int) {
 		cutoff = 64
 	}
 	scratch := make([]float64, len(data))
-	m.TaskRun(func(s models.TaskScope) {
+	models.Must(m.TaskRunCtx(context.Background(), func(s models.TaskScope) {
 		sortScope(s, data, scratch, cutoff)
-	})
+	}))
 }
 
 func sortScope(s models.TaskScope, data, scratch []float64, cutoff int) {

@@ -19,9 +19,6 @@ type cppThread struct {
 	tr *tracez.Tracer
 }
 
-// NewCPPThread returns the cpp_thread model.
-func NewCPPThread(threads int) Model { return newCPPThread(threads, nil) }
-
 func newCPPThread(threads int, tr *tracez.Tracer) Model {
 	labelChunkRings(tr, threads)
 	return &cppThread{n: threads, tr: tr}
@@ -44,10 +41,6 @@ func labelChunkRings(tr *tracez.Tracer, n int) {
 func (m *cppThread) Name() string { return CPPThread }
 func (m *cppThread) Threads() int { return m.n }
 
-func (m *cppThread) ParallelFor(n int, body func(lo, hi int)) {
-	mustRun(m.ParallelForCtx(context.Background(), n, body))
-}
-
 func (m *cppThread) ParallelForCtx(ctx context.Context, n int, body func(lo, hi int)) error {
 	reg := sched.NewRegion(ctx)
 	k := m.n
@@ -65,15 +58,6 @@ func (m *cppThread) ParallelForCtx(ctx context.Context, n int, body func(lo, hi 
 		th.Join()
 	}
 	return reg.Finish()
-}
-
-func (m *cppThread) ParallelReduce(n int, identity float64,
-	body func(lo, hi int, acc float64) float64,
-	combine func(a, b float64) float64) float64 {
-
-	v, err := m.ParallelReduceCtx(context.Background(), n, identity, body, combine)
-	mustRun(err)
-	return v
 }
 
 func (m *cppThread) ParallelReduceCtx(ctx context.Context, n int, identity float64,
@@ -108,8 +92,6 @@ func (m *cppThread) ParallelReduceCtx(ctx context.Context, n int, identity float
 	return acc, nil
 }
 
-func (m *cppThread) SupportsTasks() bool { return true }
-
 // threadScope implements TaskScope by creating a real thread per
 // spawn. This is the configuration the paper reports as hanging for
 // fib(20)+ without a cut-off: the thread count equals the task count.
@@ -142,10 +124,6 @@ func (s *threadScope) Sync() {
 	s.children = s.children[:0]
 }
 
-func (m *cppThread) TaskRun(root func(TaskScope)) {
-	mustRun(m.TaskRunCtx(context.Background(), root))
-}
-
 func (m *cppThread) TaskRunCtx(ctx context.Context, root func(TaskScope)) error {
 	reg := sched.NewRegion(ctx)
 	s := &threadScope{reg: reg, ring: m.tr.Ring(m.n)}
@@ -158,8 +136,6 @@ func (m *cppThread) SchedulerStats() (sched.Snapshot, bool) {
 	return sched.Snapshot{}, false // no runtime, no counters
 }
 
-func (m *cppThread) ResetSchedulerStats() {}
-
 func (m *cppThread) Close() {}
 
 // cppAsync is the C++11 std::async configuration: one async task per
@@ -171,9 +147,6 @@ type cppAsync struct {
 	tr *tracez.Tracer
 }
 
-// NewCPPAsync returns the cpp_async model.
-func NewCPPAsync(threads int) Model { return newCPPAsync(threads, nil) }
-
 func newCPPAsync(threads int, tr *tracez.Tracer) Model {
 	labelChunkRings(tr, threads)
 	return &cppAsync{n: threads, tr: tr}
@@ -181,10 +154,6 @@ func newCPPAsync(threads int, tr *tracez.Tracer) Model {
 
 func (m *cppAsync) Name() string { return CPPAsync }
 func (m *cppAsync) Threads() int { return m.n }
-
-func (m *cppAsync) ParallelFor(n int, body func(lo, hi int)) {
-	mustRun(m.ParallelForCtx(context.Background(), n, body))
-}
 
 func (m *cppAsync) ParallelForCtx(ctx context.Context, n int, body func(lo, hi int)) error {
 	reg := sched.NewRegion(ctx)
@@ -208,15 +177,6 @@ func (m *cppAsync) ParallelForCtx(ctx context.Context, n int, body func(lo, hi i
 		}
 	}
 	return reg.Finish()
-}
-
-func (m *cppAsync) ParallelReduce(n int, identity float64,
-	body func(lo, hi int, acc float64) float64,
-	combine func(a, b float64) float64) float64 {
-
-	v, err := m.ParallelReduceCtx(context.Background(), n, identity, body, combine)
-	mustRun(err)
-	return v
 }
 
 func (m *cppAsync) ParallelReduceCtx(ctx context.Context, n int, identity float64,
@@ -254,8 +214,6 @@ func (m *cppAsync) ParallelReduceCtx(ctx context.Context, n int, identity float6
 	return acc, nil
 }
 
-func (m *cppAsync) SupportsTasks() bool { return true }
-
 // asyncScope implements TaskScope over std::async-style futures.
 // Every scope in a run shares the run's region: Spawn drops new tasks
 // once the region is canceled, and a task panic is recorded into the
@@ -291,10 +249,6 @@ func (s *asyncScope) Sync() {
 	s.children = s.children[:0]
 }
 
-func (m *cppAsync) TaskRun(root func(TaskScope)) {
-	mustRun(m.TaskRunCtx(context.Background(), root))
-}
-
 func (m *cppAsync) TaskRunCtx(ctx context.Context, root func(TaskScope)) error {
 	reg := sched.NewRegion(ctx)
 	s := &asyncScope{reg: reg, ring: m.tr.Ring(m.n)}
@@ -306,7 +260,5 @@ func (m *cppAsync) TaskRunCtx(ctx context.Context, root func(TaskScope)) error {
 func (m *cppAsync) SchedulerStats() (sched.Snapshot, bool) {
 	return sched.Snapshot{}, false
 }
-
-func (m *cppAsync) ResetSchedulerStats() {}
 
 func (m *cppAsync) Close() {}

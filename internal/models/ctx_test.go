@@ -113,11 +113,10 @@ func TestModelReusableAfterCancelAndPanic(t *testing.T) {
 				panic("transient")
 			}
 		})
-		// The legacy surface must still work on the same model.
 		var n atomic.Int64
-		m.ParallelFor(500, func(lo, hi int) { n.Add(int64(hi - lo)) })
+		Must(m.ParallelForCtx(context.Background(), 500, func(lo, hi int) { n.Add(int64(hi - lo)) }))
 		if n.Load() != 500 {
-			t.Fatalf("after cancel+panic, ParallelFor covered %d of 500", n.Load())
+			t.Fatalf("after cancel+panic, ParallelForCtx covered %d of 500", n.Load())
 		}
 	})
 }

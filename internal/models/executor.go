@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"threading/internal/forkjoin"
 	"threading/internal/sched"
 	"threading/internal/shard"
 )
@@ -25,38 +24,35 @@ import (
 // (cmd/threadserve) uses to put one shared runtime behind many
 // request goroutines.
 //
-// Name resolution matches New: the six base names, plus the
-// "sharded:" prefix (or WithShardCount on a shardable base) which
-// returns the routing resolver itself. The thread-per-chunk C++
-// models have no persistent runtime; they are adapted with a
-// stateless executor that creates threads (cpp_thread) or async tasks
-// (cpp_async) per call, so their per-operation spawn cost shows up in
-// service latency exactly as it does in the paper's wall-time
-// numbers. Loop grain is chosen per call via the Executor interface,
-// so WithGrain is not consumed here.
+// Names resolve as in New, which is built on this function: the six
+// base names, plus the "sharded:" prefix (or WithShardCount on a
+// shardable base) which returns the routing resolver itself. The
+// thread-per-chunk C++ models have no persistent runtime; they are
+// adapted with a stateless executor that creates threads (cpp_thread)
+// or async tasks (cpp_async) per call, so their per-operation spawn
+// cost shows up in service latency exactly as it does in the paper's
+// wall-time numbers. Loop grain is chosen per call via the Executor
+// interface, so WithGrain is not consumed here.
 //
 // Close releases the runtime (Quiesce first, as with any Executor).
 func NewExecutor(name string, threads int, opts ...Option) (shard.Executor, error) {
+	return newExecutor(name, threads, resolve(opts))
+}
+
+// newExecutor is the one place a runtime is built from resolved
+// options; New names what it returns.
+func newExecutor(name string, threads int, cfg config) (shard.Executor, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("models: thread count %d < 1", threads)
 	}
-	var cfg config
-	for _, o := range opts {
-		o.applyModel(&cfg)
-	}
-	if base, ok := strings.CutPrefix(name, ShardedPrefix); ok {
+	if base, ok := strings.CutPrefix(name, ShardedPrefix); ok || cfg.shards != 0 && shardable(name) {
 		return newShardResolver(base, threads, cfg)
-	}
-	if cfg.shards != 0 && shardable(name) {
-		return newShardResolver(name, threads, cfg)
 	}
 	switch name {
 	case CilkFor, CilkSpawn:
-		return newWorkstealPool(threads, cfg), nil
+		return newPool(threads, cfg), nil
 	case OMPFor, OMPTask:
-		return forkjoin.NewTeam(threads,
-			forkjoin.WithTracer(cfg.tracer),
-			forkjoin.WithPinnedWorkers(cfg.pinned)), nil
+		return newTeam(threads, cfg), nil
 	case CPPThread:
 		return &chunkExecutor{m: newCPPThread(threads, cfg.tracer)}, nil
 	case CPPAsync:

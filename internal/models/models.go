@@ -19,83 +19,67 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"threading/internal/forkjoin"
 	"threading/internal/sched"
+	"threading/internal/shard"
 	"threading/internal/tracez"
 	"threading/internal/worksteal"
 )
 
 // ErrTasksUnsupported is returned (wrapped with the model's name) by
-// TaskRunCtx on pure loop models — omp_for and cilk_for — which
-// cannot express recursive task parallelism. Test with errors.Is.
+// TaskRunCtx on pure loop models — omp_for, cilk_for and the sharded
+// forms — which cannot express recursive task parallelism. Test with
+// errors.Is.
 var ErrTasksUnsupported = errors.New("model does not support task parallelism")
 
 // Model is one threading-model configuration. Implementations are
 // safe for repeated use but not for concurrent calls; Close releases
 // any persistent workers.
 //
-// Every blocking operation comes in two forms: a context-aware
-// variant (ParallelForCtx, ParallelReduceCtx, TaskRunCtx) that
-// supports cooperative cancellation and returns the region's first
-// failure as an error, and a legacy variant that runs under
-// context.Background and panics on failure. Cancellation is observed
+// Every blocking operation takes a context: cancellation is observed
 // at chunk/task boundaries through the shared sched.Region flag, so
 // every model pays the same one-atomic-load cost and cross-model
-// timings remain comparable.
+// timings remain comparable, and the region's first failure comes
+// back as an error. Callers that cannot fail (the benchmark kernels)
+// wrap the call in Must.
 type Model interface {
 	// Name returns the model's identifier, e.g. "omp_for".
 	Name() string
 	// Threads returns the degree of parallelism the model was created
 	// with.
 	Threads() int
-	// ParallelFor partitions [0, n) across the model's threads and
-	// invokes body on disjoint chunks covering the range. It returns
-	// after every chunk completes.
-	ParallelFor(n int, body func(lo, hi int))
-	// ParallelForCtx is ParallelFor with cooperative cancellation:
-	// once ctx is done, unstarted chunks are skipped, in-flight chunks
-	// drain, and the context's error is returned. A panic in body
-	// cancels the loop and is returned as a *sched.PanicError. The
-	// model remains usable after a canceled or failed loop.
+	// ParallelForCtx partitions [0, n) across the model's threads and
+	// invokes body on disjoint chunks covering the range; it returns
+	// after every chunk completes. Once ctx is done, unstarted chunks
+	// are skipped, in-flight chunks drain, and the context's error is
+	// returned. A panic in body cancels the loop and is returned as a
+	// *sched.PanicError. The model remains usable after a canceled or
+	// failed loop.
 	ParallelForCtx(ctx context.Context, n int, body func(lo, hi int)) error
-	// ParallelReduce folds [0, n) into a float64: body folds one
+	// ParallelReduceCtx folds [0, n) into a float64: body folds one
 	// chunk starting from acc, combine merges per-thread partials.
-	// combine must be associative and commutative.
-	ParallelReduce(n int, identity float64,
-		body func(lo, hi int, acc float64) float64,
-		combine func(a, b float64) float64) float64
-	// ParallelReduceCtx is ParallelReduce with cooperative
-	// cancellation. On failure it returns identity together with the
-	// region's first error; the partial sums of a canceled reduction
-	// are never observable.
+	// combine must be associative and commutative. On failure it
+	// returns identity together with the region's first error; the
+	// partial sums of a canceled reduction are never observable.
 	ParallelReduceCtx(ctx context.Context, n int, identity float64,
 		body func(lo, hi int, acc float64) float64,
 		combine func(a, b float64) float64) (float64, error)
-	// SupportsTasks reports whether the model can express recursive
-	// task parallelism. Pure loop models (omp_for, cilk_for) cannot,
-	// mirroring the paper's Fibonacci experiment which runs only the
-	// task-capable configurations.
-	SupportsTasks() bool
-	// TaskRun executes root as a task that may recursively Spawn and
-	// Sync children. It panics for models where SupportsTasks is
-	// false.
-	TaskRun(root func(TaskScope))
-	// TaskRunCtx is TaskRun with cooperative cancellation: once ctx
-	// is done, further Spawns are dropped and the context's error is
-	// returned; a task panic is returned as a *sched.PanicError. On
-	// loop-only models it returns ErrTasksUnsupported (wrapped with
-	// the model's name) instead of panicking.
+	// TaskRunCtx executes root as a task that may recursively Spawn
+	// and Sync children. Once ctx is done, further Spawns are dropped
+	// and the context's error is returned; a task panic is returned
+	// as a *sched.PanicError. Loop-only models (omp_for, cilk_for and
+	// every sharded form) cannot express recursive task parallelism —
+	// the paper's Fibonacci experiment runs only the task-capable
+	// configurations — and return ErrTasksUnsupported wrapped with
+	// the model's name.
 	TaskRunCtx(ctx context.Context, root func(TaskScope)) error
 	// SchedulerStats returns scheduler counters when the model's
 	// runtime collects them (the pooled runtimes do; the raw
-	// thread-per-chunk models do not).
+	// thread-per-chunk models do not). The counters are cumulative;
+	// bracket a measurement with two snapshots and sched.Snapshot.Delta.
 	SchedulerStats() (sched.Snapshot, bool)
-	// ResetSchedulerStats zeroes the counters; a no-op for models
-	// without a persistent runtime.
-	ResetSchedulerStats()
 	// Close releases persistent workers. The model must not be used
 	// afterwards.
 	Close()
@@ -144,6 +128,14 @@ type config struct {
 	pinned      bool
 }
 
+func resolve(opts []Option) config {
+	var cfg config
+	for _, o := range opts {
+		o.applyModel(&cfg)
+	}
+	return cfg
+}
+
 // WithPartitioner selects the loop partitioner used by the
 // work-stealing models (cilk_for, cilk_spawn). The zero value is
 // worksteal.Eager, the paper-faithful divide-and-conquer
@@ -157,8 +149,9 @@ func WithPartitioner(p worksteal.Partitioner) Option {
 // divide-and-conquer decomposition produces). The zero value keeps
 // the default heuristic min(2048, ceil(n/8p)); small fixed grains
 // stress the distribution machinery, which is what the benchmark
-// gate's work-stealing series measure. Models without a grain knob
-// ignore this option.
+// gate's work-stealing series measure. It reaches cilk_for and the
+// sharded forms over pools; models without a grain knob — every
+// team-backed one, plain or sharded, included — ignore it.
 func WithGrain(g int) Option {
 	return optionFunc(func(c *config) { c.grain = g })
 }
@@ -202,34 +195,9 @@ func WithPinnedWorkers(on bool) Option {
 	return optionFunc(func(c *config) { c.pinned = on })
 }
 
-// factories maps model names to constructors.
-var factories = map[string]func(threads int, cfg config) Model{
-	OMPFor: func(t int, cfg config) Model {
-		return NewOMPForWithOptions(t, forkjoin.WithTracer(cfg.tracer),
-			forkjoin.WithPinnedWorkers(cfg.pinned))
-	},
-	OMPTask: func(t int, cfg config) Model {
-		return NewOMPTaskWithOptions(t, forkjoin.WithTracer(cfg.tracer),
-			forkjoin.WithPinnedWorkers(cfg.pinned))
-	},
-	CilkFor: func(t int, cfg config) Model {
-		return &cilkFor{pool: newWorkstealPool(t, cfg), n: t, grain: cfg.grain}
-	},
-	CilkSpawn: func(t int, cfg config) Model {
-		return &cilkSpawn{pool: newWorkstealPool(t, cfg), n: t}
-	},
-	CPPThread: func(t int, cfg config) Model { return newCPPThread(t, cfg.tracer) },
-	CPPAsync:  func(t int, cfg config) Model { return newCPPAsync(t, cfg.tracer) },
-}
-
-// Names returns all model names in a stable order.
+// Names returns all model names in a stable (sorted) order.
 func Names() []string {
-	out := make([]string, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return []string{CilkFor, CilkSpawn, CPPAsync, CPPThread, OMPFor, OMPTask}
 }
 
 // DataNames returns the models used in the paper's data-parallel
@@ -244,52 +212,83 @@ func TaskNames() []string {
 }
 
 // New constructs the named model with the given thread count and
-// options. A "sharded:" name prefix (e.g. "sharded:cilk_for") wraps
-// the base model's runtime in a shard.Resolver, as does WithShardCount
-// on a shardable base name; see NewSharded for the semantics.
+// options: NewExecutor builds the runtime, and New puts the model's
+// name and loop/task form on top of it. A "sharded:" name prefix
+// (e.g. "sharded:cilk_for"), or WithShardCount on a shardable base
+// name, yields the loop model over the routing shard.Resolver (see
+// Resolver); the base model's thread budget is split across
+// family-native shards and every loop takes the shard runtime's own
+// form, so per-chunk mechanics match the base model's family while
+// distribution across shards is the resolver's.
 func New(name string, threads int, opts ...Option) (Model, error) {
-	if threads < 1 {
-		return nil, fmt.Errorf("models: thread count %d < 1", threads)
+	cfg := resolve(opts)
+	ex, err := newExecutor(name, threads, cfg)
+	if err != nil {
+		return nil, err
 	}
-	var cfg config
-	for _, o := range opts {
-		o.applyModel(&cfg)
+	switch rt := ex.(type) {
+	case *forkjoin.Team:
+		return OverTeam(name, rt)
+	case *worksteal.Pool:
+		return OverPool(name, rt, cfg.grain)
+	case *shard.Resolver:
+		base := strings.TrimPrefix(name, ShardedPrefix)
+		m := &loopModel{ex: rt, name: ShardedPrefix + base, threads: threads}
+		if base == CilkFor || base == CilkSpawn {
+			m.grain = cfg.grain // pool shards; team shards have no grain knob
+		}
+		return m, nil
+	case *chunkExecutor:
+		return rt.m, nil
 	}
-	if base, ok := strings.CutPrefix(name, ShardedPrefix); ok {
-		return newSharded(base, threads, cfg)
+	panic(fmt.Sprintf("models: NewExecutor(%q) returned unexpected %T", name, ex))
+}
+
+// OverTeam returns the named fork-join model (omp_for or omp_task)
+// over a caller-built team — the injection point for ablations that
+// need a forkjoin.Option New does not expose (barrier kind, task
+// policy, task deque). The model owns the team: Close closes it.
+func OverTeam(name string, team *forkjoin.Team) (Model, error) {
+	switch name {
+	case OMPFor:
+		return &loopModel{ex: team, name: name, threads: team.Size()}, nil
+	case OMPTask:
+		return &ompTask{team: team, n: team.Size()}, nil
 	}
-	f, ok := factories[name]
-	if !ok {
-		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
+	return nil, fmt.Errorf("models: %q is not a fork-join model (have %s, %s)", name, OMPFor, OMPTask)
+}
+
+// OverPool returns the named work-stealing model (cilk_for or
+// cilk_spawn) over a caller-built pool — the injection point for
+// ablations that need a worksteal.Option New does not expose (deque
+// kind). grain is the cilk_for loop grain, 0 selecting the default
+// heuristic; cilk_spawn chunks manually and ignores it. The model
+// owns the pool: Close closes it.
+func OverPool(name string, pool *worksteal.Pool, grain int) (Model, error) {
+	switch name {
+	case CilkFor:
+		return &loopModel{ex: pool, name: name, threads: pool.Workers(), grain: grain}, nil
+	case CilkSpawn:
+		return &cilkSpawn{pool: pool, n: pool.Workers()}, nil
 	}
-	if cfg.shards != 0 && shardable(name) {
-		return newSharded(name, threads, cfg)
-	}
-	return f(threads, cfg), nil
+	return nil, fmt.Errorf("models: %q is not a work-stealing model (have %s, %s)", name, CilkFor, CilkSpawn)
 }
 
 // MustNew is New, panicking on error. For tests and benchmarks.
 func MustNew(name string, threads int, opts ...Option) Model {
 	m, err := New(name, threads, opts...)
-	if err != nil {
-		panic(err)
-	}
+	Must(err)
 	return m
 }
 
-// mustRun adapts a ctx-variant failure to the legacy panicking
-// surface: a recorded task panic re-panics with its original value in
-// the message, any other error panics wholesale. The legacy Model
-// methods are thin wrappers built from this.
-func mustRun(err error) {
-	if err == nil {
-		return
+// Must panics if err is non-nil. It is how code whose signature has
+// no error result — the benchmark kernels, which run each timed
+// repetition to completion under context.Background — calls the Ctx
+// methods: models.Must(m.ParallelForCtx(ctx, n, body)).
+func Must(err error) {
+	if err != nil {
+		panic(err)
 	}
-	var pe *sched.PanicError
-	if errors.As(err, &pe) {
-		panic(fmt.Sprintf("models: parallel operation panicked: %v", pe.Value))
-	}
-	panic(fmt.Sprintf("models: parallel operation failed: %v", err))
 }
 
 // guarded wraps fn for execution on a raw thread or async task under

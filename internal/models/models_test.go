@@ -1,6 +1,8 @@
 package models
 
 import (
+	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -9,6 +11,24 @@ import (
 	"threading/internal/forkjoin"
 	"threading/internal/worksteal"
 )
+
+// sumTo folds 0+1+...+(n-1) under m, the reduction every test here
+// checks against the closed form.
+func sumTo(t *testing.T, m Model, n int) float64 {
+	t.Helper()
+	got, err := m.ParallelReduceCtx(context.Background(), n, 0,
+		func(lo, hi int, acc float64) float64 {
+			for i := lo; i < hi; i++ {
+				acc += float64(i)
+			}
+			return acc
+		},
+		func(a, b float64) float64 { return a + b })
+	if err != nil {
+		t.Fatalf("ParallelReduceCtx: %v", err)
+	}
+	return got
+}
 
 func TestNamesStable(t *testing.T) {
 	names := Names()
@@ -74,15 +94,7 @@ func TestWithPartitioner(t *testing.T) {
 			m := MustNew(name, 3, WithPartitioner(worksteal.Lazy))
 			defer m.Close()
 			const n = 10000
-			got := m.ParallelReduce(n, 0,
-				func(lo, hi int, acc float64) float64 {
-					for i := lo; i < hi; i++ {
-						acc += float64(i)
-					}
-					return acc
-				},
-				func(a, b float64) float64 { return a + b })
-			if want := float64(n) * float64(n-1) / 2; got != want {
+			if got, want := sumTo(t, m, n), float64(n)*float64(n-1)/2; got != want {
 				t.Fatalf("lazy reduce = %g, want %g", got, want)
 			}
 		})
@@ -122,14 +134,14 @@ func TestParallelForCoverage(t *testing.T) {
 	const n = 20000
 	forEachModel(t, 4, func(t *testing.T, m Model) {
 		hits := make([]atomic.Int32, n)
-		m.ParallelFor(n, func(lo, hi int) {
+		Must(m.ParallelForCtx(context.Background(), n, func(lo, hi int) {
 			if lo < 0 || hi > n || lo >= hi {
 				t.Errorf("bad chunk [%d,%d)", lo, hi)
 			}
 			for i := lo; i < hi; i++ {
 				hits[i].Add(1)
 			}
-		})
+		}))
 		for i := range hits {
 			if hits[i].Load() != 1 {
 				t.Fatalf("iteration %d executed %d times", i, hits[i].Load())
@@ -144,12 +156,12 @@ func TestParallelForSmallN(t *testing.T) {
 	forEachModel(t, 8, func(t *testing.T, m Model) {
 		for _, n := range []int{0, 1, 3, 7} {
 			var total atomic.Int64
-			m.ParallelFor(n, func(lo, hi int) {
+			Must(m.ParallelForCtx(context.Background(), n, func(lo, hi int) {
 				if lo >= hi {
 					t.Errorf("n=%d: empty chunk [%d,%d)", n, lo, hi)
 				}
 				total.Add(int64(hi - lo))
-			})
+			}))
 			if total.Load() != int64(n) {
 				t.Fatalf("n=%d: covered %d iterations", n, total.Load())
 			}
@@ -164,7 +176,7 @@ func TestParallelForRepeated(t *testing.T) {
 	forEachModel(t, 2, func(t *testing.T, m Model) {
 		for rep := 0; rep < 10; rep++ {
 			var total atomic.Int64
-			m.ParallelFor(n, func(lo, hi int) { total.Add(int64(hi - lo)) })
+			Must(m.ParallelForCtx(context.Background(), n, func(lo, hi int) { total.Add(int64(hi - lo)) }))
 			if total.Load() != n {
 				t.Fatalf("rep %d: covered %d", rep, total.Load())
 			}
@@ -176,15 +188,7 @@ func TestParallelReduce(t *testing.T) {
 	const n = 50000
 	want := float64(n) * float64(n-1) / 2
 	forEachModel(t, 4, func(t *testing.T, m Model) {
-		got := m.ParallelReduce(n, 0,
-			func(lo, hi int, acc float64) float64 {
-				for i := lo; i < hi; i++ {
-					acc += float64(i)
-				}
-				return acc
-			},
-			func(a, b float64) float64 { return a + b })
-		if got != want {
+		if got := sumTo(t, m, n); got != want {
 			t.Fatalf("sum = %g, want %g", got, want)
 		}
 	})
@@ -192,14 +196,13 @@ func TestParallelReduce(t *testing.T) {
 
 func TestParallelReduceEmpty(t *testing.T) {
 	forEachModel(t, 4, func(t *testing.T, m Model) {
-		got := m.ParallelReduce(0, 5,
+		// With no iterations, only identities are combined; how many
+		// differs per model, so only completion is asserted.
+		if _, err := m.ParallelReduceCtx(context.Background(), 0, 5,
 			func(lo, hi int, acc float64) float64 { return acc + 1 },
-			func(a, b float64) float64 { return a + b })
-		// With no iterations, only identities are combined. The exact
-		// count of identity combinations differs per model, but for
-		// idempotent-on-identity combines (sum of 5s is not!) we use
-		// max to assert: all partials are the identity.
-		_ = got
+			func(a, b float64) float64 { return a + b }); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -209,17 +212,22 @@ func TestTaskCapability(t *testing.T) {
 		CilkSpawn: true, CPPThread: true, CPPAsync: true,
 	}
 	forEachModel(t, 2, func(t *testing.T, m Model) {
-		if m.SupportsTasks() != wantTasks[m.Name()] {
-			t.Fatalf("SupportsTasks = %v, want %v", m.SupportsTasks(), wantTasks[m.Name()])
+		err := m.TaskRunCtx(context.Background(), func(TaskScope) {})
+		if wantTasks[m.Name()] {
+			if err != nil {
+				t.Fatalf("TaskRunCtx on a task model = %v", err)
+			}
+			return
 		}
-		if !m.SupportsTasks() {
-			defer func() {
-				if recover() == nil {
-					t.Error("TaskRun on loop-only model did not panic")
-				}
-			}()
-			m.TaskRun(func(TaskScope) {})
+		if !errors.Is(err, ErrTasksUnsupported) {
+			t.Fatalf("TaskRunCtx on a loop-only model = %v, want ErrTasksUnsupported", err)
 		}
+		defer func() {
+			if recover() == nil {
+				t.Error("Must let ErrTasksUnsupported through")
+			}
+		}()
+		Must(err)
 	})
 }
 
@@ -256,7 +264,7 @@ func TestTaskRunFib(t *testing.T) {
 			m := MustNew(name, 4)
 			defer m.Close()
 			var got uint64
-			m.TaskRun(func(s TaskScope) { scopeFib(s, 22, &got) })
+			Must(m.TaskRunCtx(context.Background(), func(s TaskScope) { scopeFib(s, 22, &got) }))
 			if got != want {
 				t.Fatalf("fib(22) = %d, want %d", got, want)
 			}
@@ -271,7 +279,7 @@ func TestTaskRunNestedSpawns(t *testing.T) {
 			m := MustNew(name, 3)
 			defer m.Close()
 			var leaves atomic.Int64
-			m.TaskRun(func(s TaskScope) {
+			Must(m.TaskRunCtx(context.Background(), func(s TaskScope) {
 				for i := 0; i < 8; i++ {
 					s.Spawn(func(cs TaskScope) {
 						for j := 0; j < 8; j++ {
@@ -281,7 +289,7 @@ func TestTaskRunNestedSpawns(t *testing.T) {
 					})
 				}
 				s.Sync()
-			})
+			}))
 			if leaves.Load() != 64 {
 				t.Fatalf("leaves = %d, want 64", leaves.Load())
 			}
@@ -307,53 +315,79 @@ func TestDataAndTaskNameSets(t *testing.T) {
 	}
 	for _, n := range TaskNames() {
 		m := MustNew(n, 1)
-		if !m.SupportsTasks() {
-			t.Errorf("TaskNames contains loop-only model %s", n)
+		if err := m.TaskRunCtx(context.Background(), func(TaskScope) {}); err != nil {
+			t.Errorf("TaskNames contains %s, which cannot run a task tree: %v", n, err)
 		}
 		m.Close()
 	}
 }
 
-func TestOMPForScheduleAblation(t *testing.T) {
-	m := NewOMPFor(4).(*ompFor)
-	defer m.Close()
-	const n = 10000
-	for _, s := range []forkjoin.Schedule{
-		forkjoin.Static, forkjoin.Dynamic(16), forkjoin.Guided(8),
-	} {
-		var total atomic.Int64
-		m.Schedule(s, n, func(lo, hi int) { total.Add(int64(hi - lo)) })
-		if total.Load() != n {
-			t.Fatalf("schedule %v covered %d, want %d", s, total.Load(), n)
+// TestRuntimeInjection covers the two constructors the ablation
+// benchmarks use: a model over a caller-configured team or pool must
+// behave like the one New builds, and a name of the wrong family is
+// an error.
+func TestRuntimeInjection(t *testing.T) {
+	overTeam := func(name string, opts ...forkjoin.Option) Model {
+		m, err := OverTeam(name, forkjoin.NewTeam(2, opts...))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return m
 	}
-}
-
-func TestAblationConstructors(t *testing.T) {
-	// The ablation variants must behave like their parents.
-	variants := []Model{
-		NewOMPForWithOptions(2, forkjoin.WithCentralBarrier()),
-		NewOMPTaskWithOptions(2, forkjoin.WithLockFreeTasks()),
-		NewOMPTaskWithOptions(2, forkjoin.WithTaskPolicy(forkjoin.TaskImmediate)),
-		NewCilkSpawnWithDeque(2, deque.KindLocked),
-		NewCilkForGrain(2, 64),
+	overPool := func(name string, grain int, opts ...worksteal.Option) Model {
+		m, err := OverPool(name, worksteal.NewPool(2, opts...), grain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	for _, m := range variants {
+	variants := map[string]Model{
+		OMPFor:    overTeam(OMPFor, forkjoin.WithCentralBarrier()),
+		OMPTask:   overTeam(OMPTask, forkjoin.WithLockFreeTasks()),
+		CilkSpawn: overPool(CilkSpawn, 0, worksteal.WithDequeKind(deque.KindLocked)),
+		CilkFor:   overPool(CilkFor, 64),
+	}
+	for name, m := range variants {
+		if m.Name() != name || m.Threads() != 2 {
+			t.Errorf("%s variant reports %s/%d threads", name, m.Name(), m.Threads())
+		}
 		var total atomic.Int64
-		m.ParallelFor(5000, func(lo, hi int) { total.Add(int64(hi - lo)) })
+		Must(m.ParallelForCtx(context.Background(), 5000, func(lo, hi int) { total.Add(int64(hi - lo)) }))
 		if total.Load() != 5000 {
-			t.Fatalf("%s variant covered %d", m.Name(), total.Load())
+			t.Errorf("%s variant covered %d", name, total.Load())
 		}
 		m.Close()
 	}
+
+	team := forkjoin.NewTeam(1)
+	defer team.Close()
+	if _, err := OverTeam(CilkFor, team); err == nil {
+		t.Error("OverTeam accepted a work-stealing model name")
+	}
+	pool := worksteal.NewPool(1)
+	defer pool.Close()
+	if _, err := OverPool(OMPTask, pool, 0); err == nil {
+		t.Error("OverPool accepted a fork-join model name")
+	}
 }
 
-func TestResetSchedulerStatsAllModels(t *testing.T) {
+// TestSchedulerStatsDelta pins the bracket every stats consumer uses
+// now that counters are cumulative-only: a loop's activity shows up in
+// Snapshot.Delta, and an idle bracket is all zero.
+func TestSchedulerStatsDelta(t *testing.T) {
 	forEachModel(t, 2, func(t *testing.T, m Model) {
-		m.ParallelFor(100, func(lo, hi int) {})
-		m.ResetSchedulerStats()
-		if s, ok := m.SchedulerStats(); ok && s.Spawns != 0 {
-			t.Fatalf("reset left %d spawns", s.Spawns)
+		base, ok := m.SchedulerStats()
+		if !ok {
+			return
+		}
+		Must(m.ParallelForCtx(context.Background(), 100, func(lo, hi int) {}))
+		after, _ := m.SchedulerStats()
+		if d := after.Delta(base); d.LoopChunks+d.TasksExecuted == 0 {
+			t.Fatalf("a 100-iteration loop left no trace in the delta: %+v", d)
+		}
+		idle, _ := m.SchedulerStats()
+		if d := idle.Delta(after); d.LoopChunks != 0 || d.Spawns != 0 || d.TasksExecuted != 0 {
+			t.Fatalf("idle bracket is not zero: %+v", d)
 		}
 	})
 }

@@ -50,26 +50,23 @@ func TestShardedModelBasics(t *testing.T) {
 				t.Fatalf("reduce = %v, want %v", sum, want)
 			}
 
-			if m.SupportsTasks() {
-				t.Fatal("sharded models must not claim task support")
-			}
 			if err := m.TaskRunCtx(context.Background(), func(TaskScope) {}); !errors.Is(err, ErrTasksUnsupported) {
 				t.Fatalf("TaskRunCtx = %v, want ErrTasksUnsupported", err)
 			}
 
-			ss, ok := m.(ShardedStats)
+			res, ok := Resolver(m)
 			if !ok {
-				t.Fatal("sharded model does not expose ShardedStats")
+				t.Fatal("sharded model does not run on a Resolver")
 			}
-			if got := ss.NumShards(); got != 2 {
+			if got := res.NumShards(); got != 2 {
 				t.Fatalf("NumShards = %d, want 2", got)
 			}
-			if got := ss.ShardBalancer(); got != "least-loaded" {
-				t.Fatalf("ShardBalancer = %q, want least-loaded", got)
+			if got := res.BalancerName(); got != "least-loaded" {
+				t.Fatalf("BalancerName = %q, want least-loaded", got)
 			}
-			stats := ss.ShardSchedulerStats()
+			stats := res.ShardStats()
 			if len(stats) != 2 {
-				t.Fatalf("ShardSchedulerStats returned %d shards, want 2", len(stats))
+				t.Fatalf("ShardStats returned %d shards, want 2", len(stats))
 			}
 			merged, ok := m.SchedulerStats()
 			if !ok {
@@ -94,15 +91,18 @@ func TestShardCountOptionOnBaseName(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer m.Close()
-	if _, ok := m.(ShardedStats); !ok {
+	if _, ok := Resolver(m); !ok {
 		t.Fatal("WithShardCount on cilk_for did not shard the runtime")
+	}
+	if want := ShardedPrefix + CilkFor; m.Name() != want {
+		t.Fatalf("Name = %q, want %q", m.Name(), want)
 	}
 	cpp, err := New(CPPThread, 2, WithShardCount(2))
 	if err != nil {
 		t.Fatalf("New cpp_thread: %v", err)
 	}
 	defer cpp.Close()
-	if _, ok := cpp.(ShardedStats); ok {
+	if _, ok := Resolver(cpp); ok {
 		t.Fatal("cpp_thread should ignore WithShardCount")
 	}
 }

@@ -1,6 +1,8 @@
 package models
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 
 	"threading/internal/tracez"
@@ -15,13 +17,11 @@ func TestWithTracerReachesEveryModel(t *testing.T) {
 			tr := tracez.New(1 << 12)
 			m := MustNew(name, 2, WithTracer(tr))
 			defer m.Close()
-			var total int64
-			m.ParallelFor(256, func(lo, hi int) {
+			var total atomic.Int64
+			Must(m.ParallelForCtx(context.Background(), 256, func(lo, hi int) {
 				// Touch the range so chunk bodies are not optimized away.
-				for i := lo; i < hi; i++ {
-					total++
-				}
-			})
+				total.Add(int64(hi - lo))
+			}))
 			snap := tr.Snapshot()
 			events := 0
 			for _, wt := range snap.Workers {
@@ -42,12 +42,12 @@ func TestWithTracerTaskModels(t *testing.T) {
 			tr := tracez.New(1 << 12)
 			m := MustNew(name, 2, WithTracer(tr))
 			defer m.Close()
-			m.TaskRun(func(s TaskScope) {
+			Must(m.TaskRunCtx(context.Background(), func(s TaskScope) {
 				for i := 0; i < 4; i++ {
 					s.Spawn(func(TaskScope) {})
 				}
 				s.Sync()
-			})
+			}))
 			snap := tr.Snapshot()
 			events := 0
 			for _, wt := range snap.Workers {
@@ -65,7 +65,7 @@ func TestWithTracerTaskModels(t *testing.T) {
 func TestWithoutTracerStillWorks(t *testing.T) {
 	for _, name := range DataNames() {
 		m := MustNew(name, 2)
-		m.ParallelFor(64, func(int, int) {})
+		Must(m.ParallelForCtx(context.Background(), 64, func(int, int) {}))
 		m.Close()
 	}
 }

@@ -134,12 +134,10 @@ func TestKernelPanicTyped(t *testing.T) {
 	}
 }
 
-func TestNewDeviceOptionForms(t *testing.T) {
-	legacy := NewDevice("gpu-legacy", Options{Units: 3})
-	defer legacy.Close()
-	modern := NewDevice("gpu-modern", WithUnits(3), WithLatency(0))
-	defer modern.Close()
-	if legacy.Units() != 3 || modern.Units() != 3 {
-		t.Fatalf("Units = %d / %d, want 3 / 3", legacy.Units(), modern.Units())
+func TestNewDeviceOptions(t *testing.T) {
+	dev := NewDevice("gpu", WithUnits(3), WithLatency(0))
+	defer dev.Close()
+	if dev.Units() != 3 {
+		t.Fatalf("Units = %d, want 3", dev.Units())
 	}
 }

@@ -24,12 +24,8 @@ import (
 	"threading/internal/worksteal"
 )
 
-// Options configure a simulated device.
-//
-// Deprecated: prefer the functional options (WithUnits, WithLatency).
-// Options remains usable — a literal passed to NewDevice still
-// applies wholesale — so existing callers compile unchanged.
-type Options struct {
+// config is a Device's resolved Option values.
+type config struct {
 	// Units is the number of compute units (kernel-executing
 	// workers). Zero selects 4.
 	Units int
@@ -38,33 +34,28 @@ type Options struct {
 	TransferLatency time.Duration
 }
 
-// Option configures a Device at construction. The legacy Options
-// struct itself implements Option (applying every field at once), so
-// both NewDevice(name, Options{...}) and NewDevice(name, WithUnits(8))
-// are valid.
-type Option interface{ applyDevice(*Options) }
+// Option configures a Device at construction.
+type Option interface{ applyDevice(*config) }
 
-func (o Options) applyDevice(dst *Options) { *dst = o }
+type deviceOption func(*config)
 
-type deviceOption func(*Options)
-
-func (f deviceOption) applyDevice(o *Options) { f(o) }
+func (f deviceOption) applyDevice(o *config) { f(o) }
 
 // WithUnits sets the number of compute units.
 func WithUnits(n int) Option {
-	return deviceOption(func(o *Options) { o.Units = n })
+	return deviceOption(func(o *config) { o.Units = n })
 }
 
 // WithLatency sets the simulated interconnect latency added to every
 // host<->device copy.
 func WithLatency(d time.Duration) Option {
-	return deviceOption(func(o *Options) { o.TransferLatency = d })
+	return deviceOption(func(o *config) { o.TransferLatency = d })
 }
 
 // Device is a simulated accelerator.
 type Device struct {
 	name string
-	opts Options
+	opts config
 	pool *worksteal.Pool
 
 	mu     sync.Mutex
@@ -78,10 +69,9 @@ type Device struct {
 	workItems int64
 }
 
-// NewDevice creates a simulated accelerator. Options may be given
-// either as functional options or as a legacy Options literal.
+// NewDevice creates a simulated accelerator.
 func NewDevice(name string, options ...Option) *Device {
-	var opts Options
+	var opts config
 	for _, o := range options {
 		o.applyDevice(&opts)
 	}

@@ -8,7 +8,7 @@ import (
 
 func newDev(t *testing.T) *Device {
 	t.Helper()
-	d := NewDevice("sim0", Options{Units: 3})
+	d := NewDevice("sim0", WithUnits(3))
 	t.Cleanup(func() {
 		if err := d.Close(); err != nil {
 			t.Error(err)
@@ -136,7 +136,7 @@ func TestStats(t *testing.T) {
 
 func TestCrossDeviceBufferPanics(t *testing.T) {
 	d1 := newDev(t)
-	d2 := NewDevice("sim1", Options{Units: 1})
+	d2 := NewDevice("sim1", WithUnits(1))
 	defer func() {
 		if err := d2.Close(); err != nil {
 			t.Error(err)
@@ -177,7 +177,7 @@ func TestSizeMismatchPanics(t *testing.T) {
 }
 
 func TestCloseDetectsLeak(t *testing.T) {
-	d := NewDevice("leaky", Options{})
+	d := NewDevice("leaky")
 	b := d.Alloc(1)
 	if err := d.Close(); err == nil {
 		t.Fatal("Close ignored a live buffer")
@@ -295,7 +295,7 @@ func TestBufferAccessors(t *testing.T) {
 }
 
 func TestAllocOnClosedDevicePanics(t *testing.T) {
-	d := NewDevice("closed", Options{})
+	d := NewDevice("closed")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package bfs
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -163,7 +164,7 @@ func Parallel(m models.Model, g *Graph, src int32) []int32 {
 		// discover the same neighbor; they write identical cost
 		// values, but the mark must still be atomic to stay
 		// race-free.
-		m.ParallelFor(n, func(lo, hi int) {
+		models.Must(m.ParallelForCtx(context.Background(), n, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				if mask[u] == 0 {
 					continue
@@ -177,10 +178,10 @@ func Parallel(m models.Model, g *Graph, src int32) []int32 {
 					}
 				}
 			}
-		})
+		}))
 		// Phase 2: publish newly discovered nodes as the next
 		// frontier.
-		m.ParallelFor(n, func(lo, hi int) {
+		models.Must(m.ParallelForCtx(context.Background(), n, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				if updating[v] == 0 {
 					continue
@@ -190,7 +191,7 @@ func Parallel(m models.Model, g *Graph, src int32) []int32 {
 				visited[v] = 1
 				progressed.Store(true)
 			}
-		})
+		}))
 		if !progressed.Load() {
 			return cost
 		}

@@ -8,7 +8,11 @@
 // work-sharing on this application.
 package hotspot
 
-import "threading/internal/models"
+import (
+	"context"
+
+	"threading/internal/models"
+)
 
 // Physical constants from the Rodinia implementation.
 const (
@@ -125,11 +129,11 @@ func Parallel(m models.Model, cfg Config, temp, power []float64, steps int) []fl
 	next := make([]float64, len(temp))
 	for s := 0; s < steps; s++ {
 		src, dst := cur, next
-		m.ParallelFor(cfg.Rows, func(lo, hi int) {
+		models.Must(m.ParallelForCtx(context.Background(), cfg.Rows, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				stepRow(&cfg, dst, src, power, r)
 			}
-		})
+		}))
 		cur, next = next, cur
 	}
 	return cur

@@ -10,6 +10,7 @@
 package kmeans
 
 import (
+	"context"
 	"sync"
 
 	"threading/internal/models"
@@ -176,7 +177,7 @@ func Parallel(m models.Model, ds *Dataset, k, maxIters int) *Result {
 		}
 		var mu sync.Mutex
 		changed := false
-		m.ParallelFor(ds.N, func(lo, hi int) {
+		models.Must(m.ParallelForCtx(context.Background(), ds.N, func(lo, hi int) {
 			localSums := make([]float64, k*d)
 			localCounts := make([]int64, k)
 			localChanged := false
@@ -201,7 +202,7 @@ func Parallel(m models.Model, ds *Dataset, k, maxIters int) *Result {
 			}
 			changed = changed || localChanged
 			mu.Unlock()
-		})
+		}))
 		updateCenters(centers, sums, counts, k, d)
 		if !changed {
 			break

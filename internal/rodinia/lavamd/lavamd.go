@@ -8,6 +8,7 @@
 package lavamd
 
 import (
+	"context"
 	"math"
 
 	"threading/internal/models"
@@ -160,10 +161,10 @@ func Seq(s *Space) []Vec4 {
 // over home boxes (the Rodinia OpenMP parallelization).
 func Parallel(m models.Model, s *Space) []Vec4 {
 	out := make([]Vec4, len(s.Positions))
-	m.ParallelFor(s.NumBoxes(), func(lo, hi int) {
+	models.Must(m.ParallelForCtx(context.Background(), s.NumBoxes(), func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			forcesForBox(s, out, b)
 		}
-	})
+	}))
 	return out
 }

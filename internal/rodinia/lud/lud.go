@@ -9,6 +9,7 @@
 package lud
 
 import (
+	"context"
 	"math"
 
 	"threading/internal/models"
@@ -71,13 +72,13 @@ func Parallel(m models.Model, a []float64, n int) {
 		if rows <= 0 {
 			break
 		}
-		m.ParallelFor(rows, func(lo, hi int) {
+		models.Must(m.ParallelForCtx(context.Background(), rows, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				i := k + 1 + r
 				a[i*n+k] /= pivot
 			}
-		})
-		m.ParallelFor(rows, func(lo, hi int) {
+		}))
+		models.Must(m.ParallelForCtx(context.Background(), rows, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				i := k + 1 + r
 				lik := a[i*n+k]
@@ -87,7 +88,7 @@ func Parallel(m models.Model, a []float64, n int) {
 					rowI[j] -= lik * rowK[j]
 				}
 			}
-		})
+		}))
 	}
 }
 

@@ -82,9 +82,9 @@ func Parallel(m models.Model, g *Grid) []int32 {
 	copy(cur, g.Weight[:g.Cols])
 	for r := 1; r < g.Rows; r++ {
 		src, dst, row := cur, next, r
-		m.ParallelFor(g.Cols, func(lo, hi int) {
+		models.Must(m.ParallelForCtx(context.Background(), g.Cols, func(lo, hi int) {
 			stepRange(g, dst, src, row, lo, hi)
-		})
+		}))
 		cur, next = next, cur
 	}
 	return cur

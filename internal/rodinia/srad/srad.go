@@ -10,6 +10,7 @@
 package srad
 
 import (
+	"context"
 	"math"
 
 	"threading/internal/models"
@@ -184,34 +185,36 @@ func Parallel(m models.Model, im *Image, lambda float64, iters int) *Image {
 	b := newBuffers(len(out.Pix))
 	for it := 0; it < iters; it++ {
 		n := float64(len(out.Pix))
-		sum := m.ParallelReduce(len(out.Pix), 0,
+		sum, err := m.ParallelReduceCtx(context.Background(), len(out.Pix), 0,
 			func(lo, hi int, acc float64) float64 {
 				for i := lo; i < hi; i++ {
 					acc += out.Pix[i]
 				}
 				return acc
 			}, func(a, c float64) float64 { return a + c })
-		sum2 := m.ParallelReduce(len(out.Pix), 0,
+		models.Must(err)
+		sum2, err := m.ParallelReduceCtx(context.Background(), len(out.Pix), 0,
 			func(lo, hi int, acc float64) float64 {
 				for i := lo; i < hi; i++ {
 					acc += out.Pix[i] * out.Pix[i]
 				}
 				return acc
 			}, func(a, c float64) float64 { return a + c })
+		models.Must(err)
 		mean := sum / n
 		variance := (sum2 / n) - mean*mean
 		q0sqr := variance / (mean * mean)
 
-		m.ParallelFor(out.Rows, func(lo, hi int) {
+		models.Must(m.ParallelForCtx(context.Background(), out.Rows, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				coeffRow(out, b, q0sqr, r)
 			}
-		})
-		m.ParallelFor(out.Rows, func(lo, hi int) {
+		}))
+		models.Must(m.ParallelForCtx(context.Background(), out.Rows, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				updateRow(out, b, lambda, r)
 			}
-		})
+		}))
 	}
 	return out
 }

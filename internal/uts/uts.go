@@ -14,6 +14,7 @@
 package uts
 
 import (
+	"context"
 	"sync/atomic"
 
 	"threading/internal/models"
@@ -118,9 +119,9 @@ func CountSeq(p Params) int64 {
 func Count(m models.Model, p Params, seqDepth int) int64 {
 	p.valid()
 	var count atomic.Int64
-	m.TaskRun(func(s models.TaskScope) {
+	models.Must(m.TaskRunCtx(context.Background(), func(s models.TaskScope) {
 		countScope(s, p, mix(p.Seed), 0, seqDepth, &count)
-	})
+	}))
 	return count.Load()
 }
 

@@ -58,20 +58,15 @@ func TestRunCtxPanicTyped(t *testing.T) {
 	}
 }
 
-func TestNewPoolOptionForms(t *testing.T) {
-	// Legacy struct literal and functional options must both work.
-	legacy := NewPool(2, Options{DequeKind: deque.KindLocked})
-	defer legacy.Close()
-	modern := NewPool(2, WithDequeKind(deque.KindLocked), WithSpinBeforePark(8))
-	defer modern.Close()
+func TestNewPoolOptions(t *testing.T) {
+	pool := NewPool(2, WithDequeKind(deque.KindLocked), WithSpinBeforePark(8))
+	defer pool.Close()
 
-	for _, pool := range []*Pool{legacy, modern} {
-		var n atomic.Int64
-		pool.Run(func(c *Ctx) {
-			c.ForEach(0, 64, 0, func(_ *Ctx, i int) { n.Add(1) })
-		})
-		if n.Load() != 64 {
-			t.Fatalf("ran %d of 64", n.Load())
-		}
+	var n atomic.Int64
+	pool.Run(func(c *Ctx) {
+		c.ForEach(0, 64, 0, func(_ *Ctx, i int) { n.Add(1) })
+	})
+	if n.Load() != 64 {
+		t.Fatalf("ran %d of 64", n.Load())
 	}
 }

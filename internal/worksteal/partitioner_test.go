@@ -294,7 +294,7 @@ func TestBatchStealCounted(t *testing.T) {
 // TestLazyDeque runs the lazy partitioner over the locked backend so
 // the StealHalf/Locked path is exercised by the scheduler too.
 func TestLazyDeque(t *testing.T) {
-	p := NewPool(3, Options{DequeKind: deque.KindLocked, Partitioner: Lazy})
+	p := NewPool(3, WithDequeKind(deque.KindLocked), WithPartitioner(Lazy))
 	defer p.Close()
 	var n atomic.Int64
 	p.Run(func(c *Ctx) {

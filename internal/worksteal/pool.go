@@ -126,13 +126,8 @@ type worker struct {
 // submit-and-park.
 const MaxHelpers = 4
 
-// Options configure a Pool.
-//
-// Deprecated: prefer the functional options (WithDequeKind,
-// WithSpinBeforePark, WithPartitioner). Options remains usable — a
-// literal passed to NewPool still applies wholesale — so existing
-// callers compile unchanged.
-type Options struct {
+// config is a Pool's resolved Option values.
+type config struct {
 	// DequeKind selects the deque implementation for every worker.
 	// The default, deque.KindChaseLev, models Cilk Plus; use
 	// deque.KindLocked to model the Intel OpenMP task runtime.
@@ -155,42 +150,41 @@ type Options struct {
 	PinWorkers bool
 }
 
-// Option configures a Pool at construction. The legacy Options struct
-// itself implements Option (applying every field at once), so both
-// NewPool(n, Options{...}) and NewPool(n, WithDequeKind(k)) are valid.
-type Option interface{ applyPool(*Options) }
+// Option configures a Pool at construction. It is an interface
+// (rather than a bare func type) so the root threading package can
+// define combined option values that satisfy several layers' option
+// types at once.
+type Option interface{ applyPool(*config) }
 
-func (o Options) applyPool(dst *Options) { *dst = o }
+type poolOption func(*config)
 
-type poolOption func(*Options)
-
-func (f poolOption) applyPool(o *Options) { f(o) }
+func (f poolOption) applyPool(o *config) { f(o) }
 
 // WithDequeKind selects the deque backend for every worker: the
 // lock-free Chase-Lev deque (Cilk Plus) or the lock-based deque
 // (Intel OpenMP task runtime).
 func WithDequeKind(k deque.Kind) Option {
-	return poolOption(func(o *Options) { o.DequeKind = k })
+	return poolOption(func(o *config) { o.DequeKind = k })
 }
 
 // WithSpinBeforePark sets how many failed find-work rounds a worker
 // or a Sync performs before blocking.
 func WithSpinBeforePark(n int) Option {
-	return poolOption(func(o *Options) { o.SpinBeforePark = n })
+	return poolOption(func(o *config) { o.SpinBeforePark = n })
 }
 
 // WithPartitioner selects the ForDAC loop partitioner: Eager for the
 // paper-faithful up-front decomposition, Lazy for demand-driven
 // splitting.
 func WithPartitioner(p Partitioner) Option {
-	return poolOption(func(o *Options) { o.Partitioner = p })
+	return poolOption(func(o *config) { o.Partitioner = p })
 }
 
 // WithTracer attaches a scheduler-event tracer: every worker and
 // help-first helper slot records its events into the tracer's ring for
 // its WorkerID. A nil tracer leaves tracing disabled.
 func WithTracer(tr *tracez.Tracer) Option {
-	return poolOption(func(o *Options) { o.Tracer = tr })
+	return poolOption(func(o *config) { o.Tracer = tr })
 }
 
 // WithPinnedWorkers locks each dedicated worker goroutine to an OS
@@ -199,7 +193,7 @@ func WithTracer(tr *tracez.Tracer) Option {
 // between threads at the Go scheduler's whim. Help-first helper slots
 // are animated by submitter goroutines and are never pinned.
 func WithPinnedWorkers(on bool) Option {
-	return poolOption(func(o *Options) { o.PinWorkers = on })
+	return poolOption(func(o *config) { o.PinWorkers = on })
 }
 
 const defaultSpin = 32
@@ -245,13 +239,11 @@ type Pool struct {
 }
 
 // NewPool starts a scheduler with n workers. n must be at least 1.
-// Options may be given either as functional options or as a legacy
-// Options literal.
 func NewPool(n int, options ...Option) *Pool {
 	if n < 1 {
 		panic("worksteal: pool needs at least 1 worker")
 	}
-	var opts Options
+	var opts config
 	for _, o := range options {
 		o.applyPool(&opts)
 	}

@@ -20,7 +20,7 @@ var backends = []struct {
 func TestRunSimple(t *testing.T) {
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
-			p := NewPool(4, Options{DequeKind: be.kind})
+			p := NewPool(4, WithDequeKind(be.kind))
 			defer p.Close()
 			var ran atomic.Bool
 			p.Run(func(c *Ctx) { ran.Store(true) })
@@ -34,7 +34,7 @@ func TestRunSimple(t *testing.T) {
 func TestSpawnSyncCounts(t *testing.T) {
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
-			p := NewPool(4, Options{DequeKind: be.kind})
+			p := NewPool(4, WithDequeKind(be.kind))
 			defer p.Close()
 			var count atomic.Int64
 			p.Run(func(c *Ctx) {
@@ -54,7 +54,7 @@ func TestSpawnSyncCounts(t *testing.T) {
 }
 
 func TestImplicitSyncAtReturn(t *testing.T) {
-	p := NewPool(2, Options{})
+	p := NewPool(2)
 	defer p.Close()
 	var inner atomic.Bool
 	p.Run(func(c *Ctx) {
@@ -94,7 +94,7 @@ func TestFibRecursive(t *testing.T) {
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
-				p := NewPool(workers, Options{DequeKind: be.kind})
+				p := NewPool(workers, WithDequeKind(be.kind))
 				var got uint64
 				p.Run(func(c *Ctx) { fibCtx(c, 20, &got) })
 				p.Close()
@@ -109,7 +109,7 @@ func TestFibRecursive(t *testing.T) {
 func TestForDACCoversRange(t *testing.T) {
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
-			p := NewPool(4, Options{DequeKind: be.kind})
+			p := NewPool(4, WithDequeKind(be.kind))
 			defer p.Close()
 			check := func(n16 uint16, grain8 uint8) bool {
 				n := int(n16 % 5000)
@@ -140,7 +140,7 @@ func TestForDACCoversRange(t *testing.T) {
 }
 
 func TestForDACEmptyAndDefaults(t *testing.T) {
-	p := NewPool(2, Options{})
+	p := NewPool(2)
 	defer p.Close()
 	p.Run(func(c *Ctx) {
 		ran := false
@@ -157,7 +157,7 @@ func TestForDACEmptyAndDefaults(t *testing.T) {
 }
 
 func TestForEach(t *testing.T) {
-	p := NewPool(4, Options{})
+	p := NewPool(4)
 	defer p.Close()
 	const n = 10000
 	data := make([]int64, n)
@@ -189,7 +189,7 @@ func TestDefaultGrain(t *testing.T) {
 }
 
 func TestReducerSum(t *testing.T) {
-	p := NewPool(4, Options{})
+	p := NewPool(4)
 	defer p.Close()
 	const n = 100000
 	r := NewReducer(p, 0.0, func(a, b float64) float64 { return a + b })
@@ -212,7 +212,7 @@ func TestReducerSum(t *testing.T) {
 }
 
 func TestReducerUpdate(t *testing.T) {
-	p := NewPool(3, Options{})
+	p := NewPool(3)
 	defer p.Close()
 	r := NewReducer(p, 1.0, func(a, b float64) float64 { return a * b })
 	p.Run(func(c *Ctx) {
@@ -224,7 +224,7 @@ func TestReducerUpdate(t *testing.T) {
 }
 
 func TestPanicPropagates(t *testing.T) {
-	p := NewPool(2, Options{})
+	p := NewPool(2)
 	defer p.Close()
 	defer func() {
 		r := recover()
@@ -242,7 +242,7 @@ func TestPanicPropagates(t *testing.T) {
 }
 
 func TestPoolSurvivesPanic(t *testing.T) {
-	p := NewPool(2, Options{})
+	p := NewPool(2)
 	defer p.Close()
 	func() {
 		defer func() { recover() }()
@@ -256,7 +256,7 @@ func TestPoolSurvivesPanic(t *testing.T) {
 }
 
 func TestConcurrentRuns(t *testing.T) {
-	p := NewPool(4, Options{})
+	p := NewPool(4)
 	defer p.Close()
 	const runs = 8
 	var total atomic.Int64
@@ -278,7 +278,7 @@ func TestConcurrentRuns(t *testing.T) {
 }
 
 func TestStatsRecorded(t *testing.T) {
-	p := NewPool(2, Options{})
+	p := NewPool(2)
 	defer p.Close()
 	p.Run(func(c *Ctx) {
 		for i := 0; i < 50; i++ {
@@ -301,7 +301,7 @@ func TestStatsRecorded(t *testing.T) {
 
 func TestWorkerIDInRange(t *testing.T) {
 	const workers = 3
-	p := NewPool(workers, Options{})
+	p := NewPool(workers)
 	defer p.Close()
 	p.Run(func(c *Ctx) {
 		c.ForEach(0, 1000, 1, func(_ *Ctx, i int) {})
@@ -317,7 +317,7 @@ func TestWorkerIDInRange(t *testing.T) {
 }
 
 func TestRunOnClosedPoolPanics(t *testing.T) {
-	p := NewPool(1, Options{})
+	p := NewPool(1)
 	p.Close()
 	defer func() {
 		if recover() == nil {
@@ -333,5 +333,5 @@ func TestNewPoolValidation(t *testing.T) {
 			t.Fatal("NewPool(0) did not panic")
 		}
 	}()
-	NewPool(0, Options{})
+	NewPool(0)
 }

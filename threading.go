@@ -28,8 +28,11 @@
 // cooperative cancellation at chunk/task boundaries, deadline support,
 // and structured first-error propagation: a panic inside a parallel
 // region surfaces as a *threading.PanicError wrapping the recovered
-// value and the panicking goroutine's stack. The legacy forms remain
-// as thin wrappers (context.Background, panic on failure).
+// value and the panicking goroutine's stack. Runtimes are configured
+// with functional options only (WithSchedule, WithStealBackend,
+// WithUnits, ...), and the three options that apply to more than one
+// runtime — WithTracer, WithPinnedWorkers, WithPartitioner — have one
+// spelling accepted by every constructor they apply to.
 //
 // Quick start:
 //
@@ -54,7 +57,6 @@ import (
 	"io"
 	"time"
 
-	"threading/internal/core"
 	"threading/internal/deque"
 	"threading/internal/forkjoin"
 	"threading/internal/futures"
@@ -76,8 +78,8 @@ import (
 type PanicError = sched.PanicError
 
 // ErrTasksUnsupported is returned (wrapped with the model's name) by
-// TaskRunCtx on the pure loop models omp_for and cilk_for; test with
-// errors.Is.
+// TaskRunCtx on the pure loop models — omp_for, cilk_for and every
+// sharded form; test with errors.Is.
 var ErrTasksUnsupported = models.ErrTasksUnsupported
 
 // ErrBrokenPromise is returned by Future.Get when the promise was
@@ -113,13 +115,6 @@ type PartitionerOption interface {
 	PoolOption
 }
 
-// WithModelPartitioner selects the loop partitioner used by the
-// work-stealing models (cilk_for, cilk_spawn).
-//
-// Deprecated: use WithPartitioner, which is accepted by NewModel and
-// NewPool alike.
-func WithModelPartitioner(p Partitioner) ModelOption { return models.WithPartitioner(p) }
-
 // Tracer collects per-worker scheduler events (task/chunk spans,
 // steals, parks, barrier waits) into fixed-capacity ring buffers; see
 // internal/tracez. Attach one with WithTracer, then write its
@@ -133,10 +128,10 @@ type Trace = tracez.Trace
 // events each (rounded up to a power of two; <= 0 picks the default).
 func NewTracer(capacity int) *Tracer { return tracez.New(capacity) }
 
-// TracerOption is the type of WithTracer: a single option accepted by
-// NewModel, NewPool, and NewTeam, so one spelling attaches a tracer
-// to any runtime.
-type TracerOption interface {
+// RuntimeOption is the type of WithTracer and WithPinnedWorkers: a
+// single option accepted by NewModel, NewPool, and NewTeam, so one
+// spelling configures any runtime.
+type RuntimeOption interface {
 	ModelOption
 	PoolOption
 	TeamOption
@@ -145,28 +140,12 @@ type TracerOption interface {
 // WithTracer records the runtime's scheduler events into tr — the
 // canonical tracer option for NewModel, NewPool, and NewTeam. A nil
 // tr leaves tracing disabled at zero cost.
-func WithTracer(tr *Tracer) TracerOption {
+func WithTracer(tr *Tracer) RuntimeOption {
 	return struct {
 		ModelOption
 		PoolOption
 		TeamOption
 	}{models.WithTracer(tr), worksteal.WithTracer(tr), forkjoin.WithTracer(tr)}
-}
-
-// WithModelTracer records the model runtime's scheduler events into
-// tr.
-//
-// Deprecated: use WithTracer, which is accepted by NewModel, NewPool,
-// and NewTeam alike.
-func WithModelTracer(tr *Tracer) ModelOption { return models.WithTracer(tr) }
-
-// PinnedOption is the type of WithPinnedWorkers: a single option
-// accepted by NewModel, NewPool, and NewTeam, so one spelling pins any
-// runtime's workers.
-type PinnedOption interface {
-	ModelOption
-	PoolOption
-	TeamOption
 }
 
 // WithPinnedWorkers locks the runtime's durable worker goroutines to
@@ -175,7 +154,7 @@ type PinnedOption interface {
 // teams (member 0 is the caller's goroutine and is never pinned by the
 // team), and every shard's workers for the sharded model forms. Models
 // without durable workers (cpp_thread, cpp_async) ignore it.
-func WithPinnedWorkers(on bool) PinnedOption {
+func WithPinnedWorkers(on bool) RuntimeOption {
 	return struct {
 		ModelOption
 		PoolOption
@@ -201,14 +180,6 @@ type Team = forkjoin.Team
 
 // TeamCtx is a member's handle inside a parallel region.
 type TeamCtx = forkjoin.Ctx
-
-// TeamOptions configure a Team.
-//
-// Deprecated: prefer the functional options (WithSchedule,
-// WithCentralBarrier, ...). A TeamOptions literal is itself a
-// TeamOption, so existing NewTeam(n, TeamOptions{...}) calls compile
-// unchanged.
-type TeamOptions = forkjoin.Options
 
 // TeamOption configures a Team at construction.
 type TeamOption = forkjoin.Option
@@ -267,13 +238,6 @@ type Pool = worksteal.Pool
 // PoolCtx is a task's handle inside the work-stealing scheduler.
 type PoolCtx = worksteal.Ctx
 
-// PoolOptions configure a Pool.
-//
-// Deprecated: prefer the functional options (WithStealBackend,
-// WithSpinBeforePark). A PoolOptions literal is itself a PoolOption,
-// so existing NewPool(n, PoolOptions{...}) calls compile unchanged.
-type PoolOptions = worksteal.Options
-
 // PoolOption configures a Pool at construction.
 type PoolOption = worksteal.Option
 
@@ -302,7 +266,7 @@ func WithSpinBeforePark(n int) PoolOption { return worksteal.WithSpinBeforePark(
 // Partitioner selects how a Pool's ForDAC loops are decomposed.
 type Partitioner = worksteal.Partitioner
 
-// Partitioners for WithPartitioner / WithModelPartitioner.
+// Partitioners for WithPartitioner.
 const (
 	// PartitionEager recursively halves the iteration space into
 	// spawned tasks up front (cilk_for; paper-faithful).
@@ -370,8 +334,14 @@ func ParseBalancer(s string) (Balancer, error) { return shard.ParseBalancer(s) }
 type ShardStat = shard.Stat
 
 // ShardedPrefix is the model-name prefix selecting sharded execution
-// from NewModel, e.g. "sharded:cilk_for".
+// from NewModel, e.g. "sharded:cilk_for": the loop model over a
+// Resolver, reachable through ModelResolver.
 const ShardedPrefix = models.ShardedPrefix
+
+// ModelResolver returns the Resolver a sharded model runs on, for
+// per-shard reporting (ShardStats, NumShards, BalancerName) and hot
+// shard management; it reports false for unsharded models.
+func ModelResolver(m Model) (*Resolver, bool) { return models.Resolver(m) }
 
 // WithShardCount splits a pooled model's runtime into n shards behind
 // a Resolver: 0 disables sharding, a negative value selects
@@ -381,11 +351,6 @@ func WithShardCount(n int) ModelOption { return models.WithShardCount(n) }
 // WithShardBalancer names the balancer routing a sharded model's work
 // (see ParseBalancer for the accepted names).
 func WithShardBalancer(name string) ModelOption { return models.WithShardBalancer(name) }
-
-// ShardedStats is the extra reporting surface of sharded models,
-// obtained by type assertion: per-shard counter snapshots plus the
-// sharding configuration.
-type ShardedStats = models.ShardedStats
 
 // Thread is a C++11-style thread of execution; see internal/futures.
 type Thread = futures.Thread
@@ -436,13 +401,6 @@ func NewPipeline() *Pipeline { return pipeline.New() }
 // see internal/offload.
 type Device = offload.Device
 
-// DeviceOptions configure a simulated accelerator.
-//
-// Deprecated: prefer the functional options (WithUnits, WithLatency).
-// A DeviceOptions literal is itself a DeviceOption, so existing
-// NewDevice(name, DeviceOptions{...}) calls compile unchanged.
-type DeviceOptions = offload.Options
-
 // DeviceOption configures a Device at construction.
 type DeviceOption = offload.Option
 
@@ -492,13 +450,18 @@ func ProfileSpan(opts SpanOptions, root func(SpanScope)) SpanReport {
 	return workspan.Profile(opts, root)
 }
 
-// SuiteConfig selects what RunSuite executes; see internal/core.
-type SuiteConfig = core.SuiteConfig
+// SuiteConfig selects what RunSuite executes: the figure IDs and CSV
+// switch, around an embedded RunConfig.
+type SuiteConfig = harness.SuiteConfig
+
+// RunConfig configures each experiment run of a suite (thread sweep,
+// repetitions, scale, model-shaping knobs); see internal/harness.
+type RunConfig = harness.Config
 
 // RunSuite regenerates the paper's performance figures, writing
 // tables to out.
 func RunSuite(cfg SuiteConfig, out io.Writer) ([]*harness.Result, error) {
-	return core.RunSuite(cfg, out)
+	return harness.RunSuite(cfg, out)
 }
 
 // RunSuiteCtx is RunSuite with cooperative cancellation: a canceled
@@ -506,11 +469,11 @@ func RunSuite(cfg SuiteConfig, out io.Writer) ([]*harness.Result, error) {
 // boundary, returning the completed results alongside the context's
 // error.
 func RunSuiteCtx(ctx context.Context, cfg SuiteConfig, out io.Writer) ([]*harness.Result, error) {
-	return core.RunSuiteCtx(ctx, cfg, out)
+	return harness.RunSuiteCtx(ctx, cfg, out)
 }
 
 // FeatureReport writes the paper's qualitative comparison tables
 // (1..3; empty selects all) to out.
 func FeatureReport(tables []int, out io.Writer) error {
-	return core.FeatureReport(tables, out)
+	return harness.FeatureReport(tables, out)
 }

@@ -22,13 +22,13 @@ func TestPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total atomic.Int64
-	m.ParallelFor(1000, func(lo, hi int) { total.Add(int64(hi - lo)) })
+	err = m.ParallelForCtx(context.Background(), 1000, func(lo, hi int) { total.Add(int64(hi - lo)) })
 	m.Close()
-	if total.Load() != 1000 {
-		t.Fatalf("ParallelFor covered %d", total.Load())
+	if err != nil || total.Load() != 1000 {
+		t.Fatalf("ParallelForCtx covered %d, err = %v", total.Load(), err)
 	}
 
-	team := threading.NewTeam(2, threading.TeamOptions{})
+	team := threading.NewTeam(2)
 	var members atomic.Int64
 	team.Parallel(func(tc *threading.TeamCtx) {
 		members.Add(1)
@@ -41,7 +41,7 @@ func TestPublicSurface(t *testing.T) {
 		t.Fatalf("team ran %d members", members.Load())
 	}
 
-	pool := threading.NewPool(2, threading.PoolOptions{})
+	pool := threading.NewPool(2)
 	var spawned atomic.Int64
 	pool.Run(func(c *threading.PoolCtx) {
 		c.Spawn(func(*threading.PoolCtx) { spawned.Add(1) })
@@ -74,10 +74,8 @@ func TestPublicSurface(t *testing.T) {
 
 	var out strings.Builder
 	results, err := threading.RunSuite(threading.SuiteConfig{
+		Config:      threading.RunConfig{Threads: []int{1}, Reps: 1, Scale: 0.001},
 		Experiments: []string{"fig1"},
-		Threads:     []int{1},
-		Reps:        1,
-		Scale:       0.001,
 	}, &out)
 	if err != nil || len(results) != 1 {
 		t.Fatalf("RunSuite: %v, %d results", err, len(results))
@@ -156,28 +154,25 @@ func TestShardingSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	ss, ok := m.(threading.ShardedStats)
+	shards, ok := threading.ModelResolver(m)
 	if !ok {
-		t.Fatal("sharded model does not expose ShardedStats")
+		t.Fatal("sharded model does not run on a Resolver")
 	}
-	if ss.NumShards() != 2 {
-		t.Fatalf("NumShards = %d", ss.NumShards())
+	if shards.NumShards() != 2 {
+		t.Fatalf("NumShards = %d", shards.NumShards())
 	}
-	m.ParallelFor(4096, func(lo, hi int) {})
-	if stats := ss.ShardSchedulerStats(); len(stats) != 2 {
-		t.Fatalf("ShardSchedulerStats = %d entries", len(stats))
+	if err := m.ParallelForCtx(context.Background(), 4096, func(lo, hi int) {}); err != nil {
+		t.Fatal(err)
+	}
+	if stats := shards.ShardStats(); len(stats) != 2 {
+		t.Fatalf("ShardStats = %d entries", len(stats))
 	}
 
-	// The canonical options are accepted by the runtime constructors
-	// directly, alongside the deprecated model-only spellings.
+	// The same options are accepted by the runtime constructors
+	// directly.
 	pool := threading.NewPool(1,
 		threading.WithPartitioner(threading.PartitionLazy), threading.WithTracer(tr))
 	pool.Close()
 	team := threading.NewTeam(1, threading.WithTracer(tr))
 	team.Close()
-	if _, err := threading.NewModel(threading.CilkFor, 1,
-		threading.WithModelPartitioner(threading.PartitionEager),
-		threading.WithModelTracer(nil)); err != nil {
-		t.Fatal(err)
-	}
 }
