@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test race race-sched vet lint lint-fix bench-module surface bench-smoke bench-loopdist bench-scaling bench-record bench-gate serve-smoke serve-sweep metrics-smoke trace-smoke clean
+.PHONY: all build test race race-sched vet lint lint-fix bench-module surface bench-smoke bench-gate metrics-smoke trace-smoke clean
 
-all: build vet lint test bench-module bench-gate serve-smoke metrics-smoke
+all: build vet lint test race bench-module bench-gate metrics-smoke
 
 build:
 	$(GO) build ./...
@@ -42,10 +42,20 @@ lint-fix:
 # threading/internal/..., which makes this the compile-time guard that
 # the surfaces the benchmark pins (models.New, models.NewExecutor,
 # serve.New, ...) still have the signatures it was written against.
+# The last step runs every workload for two seconds untraced and fails
+# unless the result line (the last line of output) reports no failed
+# operation, so the benchmark is executed, not just compiled.
+BENCH_WORKLOADS = loops-coarse loops-fine tasks serve-light serve-heavy
+
 bench-module:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
 	cd benchmark && $(GO) run threading/cmd/threadvet ./...
+	@for w in $(BENCH_WORKLOADS); do \
+		last=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+		case "$$last" in *'"failed":0'*) echo "bench-module: $$w ok" ;; \
+		*) echo "bench-module: $$w: $$last"; exit 1 ;; esac; \
+	done
 
 # The three size figures CHANGES.md quotes for surface-reducing PRs:
 # non-test Go lines outside benchmark/ and testdata/, and the exported
@@ -56,69 +66,29 @@ surface:
 	@printf 'go doc root package:     '; $(GO) doc -short . | wc -l
 
 # A fast, single-repetition pass over two figures — enough to catch a
-# harness regression without a full sweep. The raw samples land in
-# BENCH_smoke.json (benchgate schema), so even the smoke run leaves a
-# compare-able artifact.
+# harness regression without a full sweep.
 bench-smoke:
-	$(GO) run ./cmd/threadbench -fig fig1,fig5 -threads 1,2 -reps 1 -scale 0.1 -out BENCH_smoke.json
+	$(GO) run ./cmd/threadbench -fig fig1,fig5 -threads 1,2 -reps 1 -scale 0.1
 
-# Regenerate the eager-vs-lazy loop-distribution measurements
-# (benchgate schema; feed two runs to `benchgate compare`).
-bench-loopdist:
-	$(GO) run ./cmd/loopdist
-
-# pSTL-Bench-style scaling suite: the flat loops under omp_for and
-# eager cilk_for across a 1..GOMAXPROCS thread sweep, once at fixed
-# total size (strong) and once at fixed per-thread size (weak). Each
-# series carries its parallel efficiency in the benchgate schema.
-bench-scaling:
-	$(GO) run ./cmd/loopdist -sweep strong -out BENCH_scaling_strong.json
-	$(GO) run ./cmd/loopdist -sweep weak -out BENCH_scaling_weak.json
-
-# Re-record the committed kernel baselines the regression gate
-# compares against: the single-pool suite (plus the spawn-heavy fib
-# pair and the pinned-worker twins the fib-ordering and
-# pinning-overhead invariants are defined over) and the sharded series
-# the sharding-overhead invariant is defined over. Run on the machine
-# of record after an intentional perf change, and commit the results.
-bench-record:
-	$(GO) run ./cmd/benchgate record -kernels axpy,sum,matvec,fib -pinned -out BENCH_kernels.json
-	$(GO) run ./cmd/benchgate record -kernels axpy,sum -shards -1 -balancer least-loaded -out BENCH_shard.json
-	$(GO) run ./cmd/loadsweep -out BENCH_latency.json
-
-# Statistical benchmark-regression gate: fresh samples against the
-# committed baseline, plus the paper's directional invariants
-# (work-sharing <= eager work-stealing on flat loops; lazy <= eager at
-# stress grain). Loose -ratio so shared/noisy machines don't flap;
-# exit 1 means a real ordering inversion or a significant regression.
+# The performance gate: fresh samples at threads = GOMAXPROCS of every
+# series the invariants read, then the invariants themselves — the
+# paper's orderings (omp_for <= eager cilk_for and lazy <= eager on the
+# flat loops, cilk_spawn <= omp_task on fib), the pinning (1.05x) and
+# sharding (1.1x) overhead bounds, and low-load p99 parity across
+# service runtimes. No baseline file: every claim is a ratio between
+# two series of the same run. Exit 1 is a violated claim; exit 2 means
+# GOMAXPROCS < 2, where the claims cannot be measured.
 bench-gate:
-	$(GO) run ./cmd/benchgate check -reps 3 -alpha 0.05 -ratio 1.3
-	$(GO) run ./cmd/benchgate check -baseline BENCH_shard.json -reps 3 -alpha 0.05 -ratio 1.3
-
-# Tail-latency gate, mirroring CI's latency-smoke lane: `benchgate
-# check` detects the latency baseline (BENCH_latency.json, written by
-# cmd/loadsweep), boots an in-process threadserve per model, re-sweeps
-# the two lowest offered-load points, and gates the tail invariants
-# (low-load p99 parity; sharded least-loaded p99 within 1.1x of
-# single-pool). Tight -alpha so percentile noise cannot flap the gate;
-# the bounds ride on the invariants themselves.
-serve-smoke:
-	$(GO) run ./cmd/benchgate check -baseline BENCH_latency.json -points 2 -requests 300 -alpha 0.01
-
-# Full open-loop service sweep: every default runtime across the
-# default offered-load points, with the per-point tail table on
-# stdout. Use -out via cmd/loadsweep directly to record a baseline.
-serve-sweep:
-	$(GO) run ./cmd/loadsweep
+	$(GO) run ./cmd/benchgate
 
 # Telemetry smoke: boot a real threadserve, load it, scrape /metrics,
 # and assert the exposition carries every required metric family with
 # a quiet stall watchdog — the in-process twin of CI's metrics-smoke
-# job (which curls the families over TCP), plus the zero-allocation
-# pins on the metric fast paths and the watchdog's injected-stall
-# unit tests.
+# job (which curls the families over TCP), plus threadserve's SIGINT
+# exit-130 and trace-on-exit contract, the zero-allocation pins on the
+# metric fast paths and the watchdog's injected-stall unit tests.
 metrics-smoke:
-	$(GO) test -count=1 -run 'TestMetricsSmoke' ./cmd/threadserve/
+	$(GO) test -count=1 -run 'TestMetricsSmoke|TestInterrupt|TestTraceWrittenOnExit' ./cmd/threadserve/
 	$(GO) test -count=1 -run 'TestMetrics|TestRequestID|TestUpdatesZeroAlloc|TestWatchdog' ./internal/serve/ ./internal/metrics/
 
 # End-to-end exercise of the tracing pipeline: a small Sum+Fib sweep

@@ -170,8 +170,8 @@ func BenchmarkAblationGrain(b *testing.B) {
 // decomposition pre-spawns every chunk (n/grain tasks per loop, each
 // reaching an idle worker only through a steal), while lazy splitting
 // forks work off only when another worker signals demand. The gap
-// between the two is the adaptive-distribution win; cmd/loopdist
-// records it to BENCH_loopdist.json.
+// between the two is the adaptive-distribution win; cmd/benchgate
+// gates it on the flat loops as the lazy-beats-eager invariants.
 func BenchmarkLoopDist(b *testing.B) {
 	const (
 		vecN  = 1 << 18

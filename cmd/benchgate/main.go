@@ -1,360 +1,83 @@
-// Command benchgate is the statistical benchmark-regression gate: it
-// records schema-versioned sample baselines, compares two recorded
-// runs with a Mann-Whitney U test plus a minimum-effect threshold,
-// and checks fresh samples against the committed baseline together
-// with the paper's directional invariants (work-sharing beats eager
-// work-stealing on flat loops; lazy splitting beats eager at stress
-// grain).
+// Command benchgate is the repository's performance gate. It takes no
+// arguments: it measures, at threads = GOMAXPROCS, every series the
+// gated invariants read — the flat-loop kernel series (interleaved rep
+// by rep), the fib task pair, and the low-load service series — then
+// prints a series table and an invariant table.
 //
 // Usage:
 //
-//	benchgate record  [-out BENCH_kernels.json] [-kernels axpy,sum,matvec]
-//	                  [-threads N] [-reps 7] [-grain 64] [-scale 0.1]
-//	                  [-shards N] [-balancer least-loaded] [-pinned]
-//	benchgate compare [-alpha 0.05] [-ratio 1.1] [-json] old.json new.json
-//	benchgate check   [-baseline BENCH_kernels.json] [-reps N]
-//	                  [-alpha 0.05] [-ratio 1.3] [-json] [-out fresh.json]
-//	                  [-requests N] [-points N]
+//	go run ./cmd/benchgate
 //
-// record runs the kernel suite through the benchmark harness and
-// writes every raw repetition with environment metadata (go version,
-// GOMAXPROCS, rep count). compare classifies each shared key as
-// improved / regressed / unchanged; a verdict only leaves unchanged
-// when the U test rejects equality at -alpha AND both min and median
-// moved by at least -ratio. check re-measures using the baseline's
-// recorded configuration, compares against the baseline, and asserts
-// the directional invariants on both sample sets; when the baseline
-// was recorded in a different environment (platform or GOMAXPROCS),
-// absolute regressions are reported but only invariants gate.
+// The invariants encode the paper's orderings (work-sharing beats
+// eager work-stealing on flat loops; lazy splitting beats eager at
+// stress grain; cilk_spawn beats omp task on fib), the bounded costs
+// of pinning and sharding, and low-load p99 parity across service
+// runtimes. Each is a ratio between two series of the same run, so no
+// stored baseline is involved and the verdict is about the machine at
+// hand.
 //
-// check detects latency baselines (written by cmd/loadsweep; config
-// carries a scenario) and re-measures them through the open-loop
-// service sweep instead of the kernel suite, gating the tail
-// invariants (low-load p99 parity, sharded-tail overhead) on both
-// sample sets. -requests and -points shrink the fresh sweep for a CI
-// smoke lane: -points keeps only the N lowest offered points, where
-// every tail invariant is defined, so the gate's coverage survives
-// the trim.
-//
-// -json emits one JSON object per verdict (and per invariant result
-// for check) on stdout. Exit status: 0 clean, 1 regressions or
-// violated invariants, 2 usage or load failure — the same convention
-// as threadvet. SIGINT exits 130.
+// Exit status: 0 every invariant holds, 1 some invariant is violated,
+// 2 usage error, GOMAXPROCS < 2 (the claims are about parallel
+// execution, so a single-processor run would prove nothing), a series
+// an invariant reads is missing, or a measurement failed; 130
+// interrupted (SIGINT or SIGTERM).
 package main
 
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
+	"runtime"
 	"syscall"
-	"time"
 
 	"threading/internal/benchgate"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, benchgate.Measure))
 }
 
-const usage = `usage: benchgate <record|compare|check> [flags]
+// measureFunc takes the fresh samples the invariants read.
+type measureFunc func(context.Context, []benchgate.Invariant) (*benchgate.Report, error)
 
-  record   run the kernel suite and write a baseline sample file
-  compare  classify old.json -> new.json per key (improved/regressed/unchanged)
-  check    run fresh samples against the committed baseline + invariants
-`
-
-// run dispatches the subcommand and returns the process exit code:
-// 0 clean, 1 findings (regressions or violated invariants), 2 usage
-// or load failure, 130 interrupted.
-func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		fmt.Fprint(stderr, usage)
+// run is main with injectable arguments, streams and measurement, so
+// the exit-code contract is testable in-process.
+func run(args []string, stdout, stderr io.Writer, measure measureFunc) int {
+	if len(args) > 0 {
+		fmt.Fprintf(stderr, "benchgate: takes no arguments (got %q)\nusage: go run ./cmd/benchgate\n", args)
 		return 2
 	}
-	switch args[0] {
-	case "record":
-		return runRecord(args[1:], stdout, stderr)
-	case "compare":
-		return runCompare(args[1:], stdout, stderr)
-	case "check":
-		return runCheck(args[1:], stdout, stderr)
-	case "help", "-h", "-help", "--help":
-		fmt.Fprint(stdout, usage)
-		return 0
-	default:
-		fmt.Fprintf(stderr, "benchgate: unknown mode %q\n%s", args[0], usage)
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		fmt.Fprintf(stderr, "benchgate: GOMAXPROCS = %d; the invariants are claims about parallel execution and need at least 2\n", procs)
 		return 2
 	}
-}
-
-func signalCtx() (context.Context, context.CancelFunc) {
-	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-}
-
-func runRecord(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("benchgate record", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		out     = fs.String("out", "BENCH_kernels.json", "output sample file")
-		kernels = fs.String("kernels", "", "comma-separated kernels (axpy,sum,matvec,matmul,fib); empty = default suite")
-		threads = fs.Int("threads", 0, "pool size; 0 = GOMAXPROCS")
-		reps    = fs.Int("reps", 0, "timed repetitions per series; 0 = 7")
-		grain   = fs.Int("grain", 0, "distribution-stressing grain; 0 = 64")
-		scale   = fs.Float64("scale", 0, "workload scale factor; 0 = 0.1")
-		shards  = fs.Int("shards", 0, "also measure sharded:cilk_for split across N shards (0 = off, -1 = GOMAXPROCS)")
-		balStr  = fs.String("balancer", "", "balancer for the sharded series; empty = least-loaded")
-		pinned  = fs.Bool("pinned", false, "also measure a pinned-worker twin of the stress-grain eager cilk_for series")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	cfg := benchgate.SuiteConfig{
-		Threads: *threads, Reps: *reps, Grain: *grain, Scale: *scale,
-		Shards: *shards, Balancer: *balStr, Pinned: *pinned,
-	}
-	if *kernels != "" {
-		cfg.Kernels = splitList(*kernels)
-	}
-	ctx, stop := signalCtx()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rep, err := benchgate.RunSuite(ctx, cfg)
-	if err != nil {
-		return suiteFailure(err, stderr)
-	}
-	if err := benchgate.WriteFile(*out, rep); err != nil {
-		fmt.Fprintf(stderr, "benchgate: %v\n", err)
-		return 2
-	}
-	writeReportSummary(stdout, rep)
-	fmt.Fprintf(stdout, "wrote %s (%d series, %d reps each)\n", *out, len(rep.Series), rep.Config.Reps)
-	return 0
-}
 
-func runCompare(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("benchgate compare", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		alpha   = fs.Float64("alpha", 0, "Mann-Whitney significance level; 0 = 0.05")
-		ratio   = fs.Float64("ratio", 0, "minimum effect ratio for a verdict to flip; 0 = 1.10")
-		jsonOut = fs.Bool("json", false, "emit newline-delimited JSON verdicts on stdout")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 2 {
-		fmt.Fprintf(stderr, "benchgate compare: want exactly two sample files, got %d\n", fs.NArg())
-		return 2
-	}
-	oldRep, err := benchgate.ReadFile(fs.Arg(0))
+	invs := benchgate.Invariants(procs)
+	rep, err := measure(ctx, invs)
 	if err != nil {
-		fmt.Fprintf(stderr, "benchgate: %v\n", err)
-		return 2
-	}
-	newRep, err := benchgate.ReadFile(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(stderr, "benchgate: %v\n", err)
-		return 2
-	}
-	opt := benchgate.Options{Alpha: *alpha, MinRatio: *ratio}
-	verdicts, warnings := benchgate.Compare(oldRep, newRep, opt)
-	for _, w := range warnings {
-		fmt.Fprintf(stderr, "benchgate: warning: %s\n", w)
-	}
-	if *jsonOut {
-		if err := benchgate.WriteVerdictJSON(stdout, verdicts); err != nil {
-			fmt.Fprintf(stderr, "benchgate: %v\n", err)
-			return 2
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintln(stderr, "benchgate: interrupted")
+			return 130
 		}
-	} else {
-		benchgate.WriteVerdictTable(stdout, verdicts)
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
 	}
-	if benchgate.AnyRegressed(verdicts) {
+	benchgate.WriteSeriesTable(stdout, rep)
+	fmt.Fprintln(stdout)
+	rs, err := benchgate.CheckInvariants(rep, invs)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
+	}
+	benchgate.WriteInvariantTable(stdout, rs)
+	if benchgate.AnyViolated(rs) {
 		return 1
 	}
 	return 0
-}
-
-func runCheck(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("benchgate check", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		baseline = fs.String("baseline", "BENCH_kernels.json", "committed baseline sample file")
-		reps     = fs.Int("reps", 0, "timed repetitions for the fresh run; 0 = the baseline's rep count")
-		alpha    = fs.Float64("alpha", 0, "Mann-Whitney significance level; 0 = 0.05")
-		ratio    = fs.Float64("ratio", 0, "minimum effect ratio; 0 = 1.10 (CI uses 1.3 so shared runners don't flap)")
-		jsonOut  = fs.Bool("json", false, "emit newline-delimited JSON verdicts and invariant results on stdout")
-		out      = fs.String("out", "", "also write the fresh samples to this path (CI artifact)")
-		requests = fs.Int("requests", 0, "latency baselines: arrivals per sweep point for the fresh run; 0 = the baseline's count")
-		points   = fs.Int("points", 0, "latency baselines: re-measure only the N lowest offered points (0 = all); the tail invariants live at the lowest point, so they still gate")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	base, err := benchgate.ReadFile(*baseline)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchgate: %v\n", err)
-		return 2
-	}
-	opt := benchgate.Options{Alpha: *alpha, MinRatio: *ratio}
-	invs := benchgate.InvariantsFor(base.Config)
-
-	// The baseline must itself satisfy the paper's orderings (or, for
-	// a latency baseline, the tail claims): a doctored or stale
-	// baseline that inverts them fails the gate before any fresh
-	// measurement is trusted against it.
-	baseInv := benchgate.CheckInvariants(base, invs, opt)
-
-	ctx, stop := signalCtx()
-	defer stop()
-	var fresh *benchgate.Report
-	if base.Config.Scenario != "" {
-		// Latency baseline: re-measure through the open-loop sweep with
-		// the baseline's recorded configuration. -requests and -points
-		// shrink a CI smoke run; trimmed points show up as "removed"
-		// verdicts, which do not gate.
-		kernel := ""
-		if len(base.Config.Kernels) > 0 {
-			kernel = base.Config.Kernels[0]
-		}
-		cfg := benchgate.LatencySuiteConfig{
-			Models:   base.Config.Models,
-			Kernel:   kernel,
-			Threads:  base.Config.Threads,
-			Offered:  lowestPoints(base.Config.Offered, *points),
-			Requests: base.Config.Requests,
-			Warmup:   -1,
-			Shards:   base.Config.Shards,
-			Balancer: base.Config.Balancer,
-			Seed:     base.Config.Seed,
-		}
-		if *requests > 0 {
-			cfg.Requests = *requests
-		}
-		fresh, err = benchgate.RunLatencySuite(ctx, cfg)
-	} else {
-		cfg := benchgate.SuiteConfig{
-			Kernels:  base.Config.Kernels,
-			Threads:  base.Config.Threads,
-			Reps:     base.Config.Reps,
-			Grain:    base.Config.Grain,
-			Scale:    base.Config.Scale,
-			Shards:   base.Config.Shards,
-			Balancer: base.Config.Balancer,
-			Pinned:   base.Config.Pinned,
-		}
-		if *reps > 0 {
-			cfg.Reps = *reps
-		}
-		fresh, err = benchgate.RunSuite(ctx, cfg)
-	}
-	if err != nil {
-		return suiteFailure(err, stderr)
-	}
-	if *out != "" {
-		if err := benchgate.WriteFile(*out, fresh); err != nil {
-			fmt.Fprintf(stderr, "benchgate: %v\n", err)
-			return 2
-		}
-	}
-	verdicts, warnings := benchgate.Compare(base, fresh, opt)
-	freshInv := benchgate.CheckInvariants(fresh, invs, opt)
-	for _, w := range warnings {
-		fmt.Fprintf(stderr, "benchgate: warning: %s\n", w)
-	}
-
-	comparable := base.Env.Comparable(fresh.Env)
-	if *jsonOut {
-		if err := benchgate.WriteVerdictJSON(stdout, verdicts); err != nil {
-			fmt.Fprintf(stderr, "benchgate: %v\n", err)
-			return 2
-		}
-		if err := benchgate.WriteInvariantJSON(stdout, baseInv); err != nil {
-			fmt.Fprintf(stderr, "benchgate: %v\n", err)
-			return 2
-		}
-		if err := benchgate.WriteInvariantJSON(stdout, freshInv); err != nil {
-			fmt.Fprintf(stderr, "benchgate: %v\n", err)
-			return 2
-		}
-	} else {
-		benchgate.WriteVerdictTable(stdout, verdicts)
-		fmt.Fprintln(stdout)
-		benchgate.WriteInvariantTable(stdout, "baseline", baseInv)
-		benchgate.WriteInvariantTable(stdout, "fresh", freshInv)
-	}
-
-	failed := benchgate.AnyViolated(baseInv) || benchgate.AnyViolated(freshInv)
-	if benchgate.AnyRegressed(verdicts) {
-		if comparable {
-			failed = true
-		} else {
-			fmt.Fprintln(stderr, "benchgate: note: regressions vs a baseline from a different environment are advisory; gating on invariants only")
-		}
-	}
-	if failed {
-		return 1
-	}
-	return 0
-}
-
-// lowestPoints keeps the n lowest offered points (all when n <= 0),
-// preserving order. The tail invariants are defined at the lowest
-// point, so a trimmed smoke check still exercises every gated claim.
-func lowestPoints(offered []int, n int) []int {
-	if n <= 0 || n >= len(offered) {
-		return offered
-	}
-	sorted := append([]int(nil), offered...)
-	sort.Ints(sorted)
-	keep := make(map[int]bool, n)
-	for _, o := range sorted[:n] {
-		keep[o] = true
-	}
-	var out []int
-	for _, o := range offered {
-		if keep[o] {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// suiteFailure maps a suite error to an exit code: 130 for an
-// interrupt (mirroring threadbench), 2 otherwise.
-func suiteFailure(err error, stderr io.Writer) int {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(stderr, "benchgate: interrupted")
-		return 130
-	}
-	fmt.Fprintf(stderr, "benchgate: %v\n", err)
-	return 2
-}
-
-func writeReportSummary(w io.Writer, rep *benchgate.Report) {
-	fmt.Fprintf(w, "%-34s %12s %12s %26s\n", "key", "min", "median", "95% CI (median)")
-	for _, s := range rep.Series {
-		sum := benchgate.Summarize(s.SampleNs)
-		fmt.Fprintf(w, "%-34s %12s %12s %12s %-12s\n",
-			s.Key,
-			time.Duration(sum.MinNs).Round(time.Microsecond),
-			time.Duration(sum.MedianNs).Round(time.Microsecond),
-			time.Duration(sum.CILoNs).Round(time.Microsecond),
-			"- "+time.Duration(sum.CIHiNs).Round(time.Microsecond).String())
-	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -2,212 +2,253 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"path/filepath"
+	"context"
+	"os"
+	"os/signal"
+	"runtime"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"threading/internal/benchgate"
-	"threading/internal/models"
 )
 
-// writeReport persists a report for the CLI under test.
-func writeReport(t *testing.T, path string, rep *benchgate.Report) {
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// withProcs runs the test body at the given GOMAXPROCS, whatever the
+// machine, so the exit-code contract is pinned independently of it.
+func withProcs(t *testing.T, n int) {
 	t.Helper()
-	if err := benchgate.WriteFile(path, rep); err != nil {
-		t.Fatal(err)
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// uniform stands in for the measurement: every series the invariants
+// read gets the same samples, so every claim holds, and doctor may
+// then alter the report.
+func uniform(doctor func(*benchgate.Report, []benchgate.Invariant)) measureFunc {
+	return func(ctx context.Context, invs []benchgate.Invariant) (*benchgate.Report, error) {
+		rep := &benchgate.Report{}
+		for _, k := range benchgate.Keys(invs) {
+			rep.Add(benchgate.Series{Key: k, SampleNs: []int64{100, 101, 102, 103, 104, 105, 106}})
+		}
+		if doctor != nil {
+			doctor(rep, invs)
+		}
+		return rep, nil
 	}
 }
 
-// healthy builds a small report consistent with the paper's
-// orderings at threads=1, grain=64.
-func healthy() *benchgate.Report {
-	rep := benchgate.New("test", benchgate.RunConfig{
-		Threads: 1, Grain: 64, Scale: 0.01, Reps: 6, Kernels: []string{"axpy", "sum"},
-	})
-	for _, kernel := range []string{"axpy", "sum"} {
-		rep.Add(benchgate.Series{
-			Key:      benchgate.Key{Kernel: kernel, Model: models.OMPFor, Threads: 1, Grain: 0, Partitioner: "-"},
-			SampleNs: []int64{100, 101, 102, 103, 104, 105},
-		})
-		rep.Add(benchgate.Series{
-			Key:      benchgate.Key{Kernel: kernel, Model: models.CilkFor, Threads: 1, Grain: 64, Partitioner: "eager"},
-			SampleNs: []int64{400, 401, 402, 403, 404, 405},
-		})
-		rep.Add(benchgate.Series{
-			Key:      benchgate.Key{Kernel: kernel, Model: models.CilkFor, Threads: 1, Grain: 64, Partitioner: "lazy"},
-			SampleNs: []int64{110, 111, 112, 113, 114, 115},
-		})
-	}
-	return rep
-}
-
-func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
+func runCLI(t *testing.T, measure measureFunc, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	var out, errb bytes.Buffer
-	code = run(args, &out, &errb)
+	var out, errb syncBuffer
+	code = run(args, &out, &errb, measure)
 	return code, out.String(), errb.String()
 }
 
-// Exit-code contract: 0 clean, 1 findings, 2 usage/load failure —
-// pinned so CI scripts can rely on it.
+// The gate takes no subcommand and no flag: any argument is a usage
+// error.
 func TestExitCodeUsageErrors(t *testing.T) {
+	withProcs(t, 2)
+	for _, args := range [][]string{{"check"}, {"record"}, {"-reps", "3"}, {"-h"}, {"help"}} {
+		if code, _, errOut := runCLI(t, uniform(nil), args...); code != 2 || !strings.Contains(errOut, "usage") {
+			t.Errorf("run(%v) = %d, want 2 with usage\n%s", args, code, errOut)
+		}
+	}
+}
+
+// The offered-load sweep's knobs are not flags of the gate: the points,
+// models and request counts are fixed, so naming one is a usage error
+// that exits 2 before anything is measured.
+func TestSweepFlagsExitTwo(t *testing.T) {
+	withProcs(t, 2)
 	for _, args := range [][]string{
-		{},                      // no mode
-		{"frobnicate"},          // unknown mode
-		{"compare"},             // missing files
-		{"compare", "only.one"}, // one file
-		{"compare", "-bogusflag", "a", "b"},
-		{"record", "-bogusflag"},
-		{"check", "-baseline", "does-not-exist.json"},
+		{"-offered", "abc"}, {"-offered", "200,400"}, {"-models", "omp_for"},
+		{"-requests", "40"}, {"-worksize", "1024"}, {"-out", "lat.json"}, {"-nope"},
 	} {
-		if code, _, _ := runCLI(t, args...); code != 2 {
-			t.Errorf("run(%v) = %d, want 2", args, code)
+		measured := false
+		code, _, errOut := runCLI(t, func(ctx context.Context, invs []benchgate.Invariant) (*benchgate.Report, error) {
+			measured = true
+			return uniform(nil)(ctx, invs)
+		}, args...)
+		if code != 2 || measured || !strings.Contains(errOut, "usage") {
+			t.Errorf("run(%v) = %d, measured %v, want 2 with usage before measuring\n%s", args, code, measured, errOut)
 		}
-	}
-	if code, _, _ := runCLI(t, "help"); code != 0 {
-		t.Error("help should exit 0")
 	}
 }
 
-func TestExitCodeCompareUnchangedIsZero(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	writeReport(t, a, healthy())
-	writeReport(t, b, healthy())
-	code, out, _ := runCLI(t, "compare", a, b)
+// Below two processors every claim would be measured on timeshared
+// workers, so the gate refuses to run rather than pass vacuously.
+func TestSingleProcExitsTwo(t *testing.T) {
+	withProcs(t, 1)
+	measured := false
+	code, _, errOut := runCLI(t, func(ctx context.Context, invs []benchgate.Invariant) (*benchgate.Report, error) {
+		measured = true
+		return uniform(nil)(ctx, invs)
+	})
+	if code != 2 || measured || !strings.Contains(errOut, "GOMAXPROCS") {
+		t.Fatalf("GOMAXPROCS=1: exit %d, measured %v, want 2 before measuring\n%s", code, measured, errOut)
+	}
+}
+
+func TestHealthyExitsZero(t *testing.T) {
+	withProcs(t, 2)
+	code, out, errOut := runCLI(t, uniform(nil))
 	if code != 0 {
-		t.Fatalf("compare identical = %d, want 0\n%s", code, out)
+		t.Fatalf("exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
-	if !strings.Contains(out, "unchanged") {
-		t.Errorf("table lacks unchanged verdicts:\n%s", out)
+	for _, want := range []string{"kernel series", "service series", "p99", "goodput", "invariant", "t=2"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, " ok "); n != 13 {
+		t.Errorf("%d invariants ok, want 13:\n%s", n, out)
 	}
 }
 
-func TestExitCodeCompareRegressionIsOne(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	writeReport(t, a, healthy())
-	slow := healthy()
-	s := slow.Find(benchgate.Key{Kernel: "axpy", Model: models.OMPFor, Threads: 1, Grain: 0, Partitioner: "-"})
-	for i := range s.SampleNs {
-		s.SampleNs[i] *= 3
-	}
-	writeReport(t, b, slow)
-	if code, _, _ := runCLI(t, "compare", a, b); code != 1 {
-		t.Errorf("compare with regression = %d, want 1", code)
-	}
-	// Same pair reversed is an improvement: clean exit.
-	if code, _, _ := runCLI(t, "compare", b, a); code != 0 {
-		t.Errorf("compare with improvement = %d, want 0", code)
-	}
-}
-
-func TestCompareJSONShapeAndExitCode(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	writeReport(t, a, healthy())
-	slow := healthy()
-	for i := range slow.Series {
-		for j := range slow.Series[i].SampleNs {
-			slow.Series[i].SampleNs[j] *= 3
-		}
-	}
-	writeReport(t, b, slow)
-	code, out, _ := runCLI(t, "compare", "-json", a, b)
-	if code != 1 {
-		t.Fatalf("compare -json = %d, want 1", code)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("got %d NDJSON lines, want 6:\n%s", len(lines), out)
-	}
-	for _, line := range lines {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
-		}
-		for _, field := range []string{"kernel", "model", "outcome", "p", "min_ratio"} {
-			if _, ok := m[field]; !ok {
-				t.Errorf("verdict missing %q: %s", field, line)
+// The service table has one row per offered-load point the invariants
+// read, with its latency percentiles, goodput, shed rate and peak
+// queue depth.
+func TestPrintsServicePointTable(t *testing.T) {
+	withProcs(t, 2)
+	code, out, errOut := runCLI(t, uniform(func(rep *benchgate.Report, _ []benchgate.Invariant) {
+		for i := range rep.Series {
+			if rep.Series[i].Offered != 0 {
+				rep.Series[i].Goodput = 199.5
+				rep.Series[i].ShedRate = 0.025
+				rep.Series[i].QueueDepth = 7
 			}
 		}
-		if m["outcome"] != string(benchgate.Regressed) {
-			t.Errorf("outcome = %v, want regressed", m["outcome"])
-		}
-	}
-}
-
-// check against a baseline doctored to invert the
-// work-sharing-vs-work-stealing ordering must exit 1, whatever the
-// fresh measurements say: the baseline itself no longer encodes the
-// paper's claim.
-func TestExitCodeCheckDoctoredBaselineIsOne(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the measurement suite")
-	}
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
-	doctored := healthy()
-	doctored.Config.Reps = 2 // keep the fresh run cheap
-	for _, kernel := range []string{"axpy", "sum"} {
-		s := doctored.Find(benchgate.Key{Kernel: kernel, Model: models.OMPFor, Threads: 1, Grain: 0, Partitioner: "-"})
-		for i := range s.SampleNs {
-			s.SampleNs[i] *= 100 // work-sharing now loses: inverted ordering
-		}
-	}
-	writeReport(t, baseline, doctored)
-	code, out, errOut := runCLI(t, "check", "-baseline", baseline, "-reps", "2")
-	if code != 1 {
-		t.Fatalf("check doctored baseline = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	if !strings.Contains(out, "VIOLATED") {
-		t.Errorf("check output lacks violation marker:\n%s", out)
-	}
-}
-
-func TestCheckWritesFreshArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the measurement suite")
-	}
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
-	fresh := filepath.Join(dir, "fresh.json")
-	base := healthy()
-	base.Config.Reps = 2
-	writeReport(t, baseline, base)
-	// Exit code is noise-dependent (synthetic baseline vs real
-	// timings); only the artifact contract is under test here.
-	runCLI(t, "check", "-baseline", baseline, "-reps", "2", "-out", fresh)
-	rep, err := benchgate.ReadFile(fresh)
-	if err != nil {
-		t.Fatalf("fresh artifact unreadable: %v", err)
-	}
-	// The fresh run measures the full per-kernel spec grid (5 series
-	// per kernel), regardless of how sparse the baseline was.
-	if want := 2 * 5; len(rep.Series) != want {
-		t.Errorf("fresh artifact has %d series, want %d", len(rep.Series), want)
-	}
-}
-
-func TestRecordWritesValidReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the measurement suite")
-	}
-	path := filepath.Join(t.TempDir(), "rec.json")
-	code, out, errOut := runCLI(t, "record", "-out", path,
-		"-kernels", "axpy", "-reps", "2", "-scale", "0.01")
+	}))
 	if code != 0 {
-		t.Fatalf("record = %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+		t.Fatalf("exit %d, want 0\nstderr:\n%s", code, errOut)
 	}
-	rep, err := benchgate.ReadFile(path)
-	if err != nil {
+	lines := strings.Split(out, "\n")
+	header := ""
+	for _, l := range lines {
+		if strings.HasPrefix(l, "service series") {
+			header = l
+		}
+	}
+	for _, col := range []string{"n", "p50", "p99", "p999", "goodput", "shed", "depth"} {
+		if !strings.Contains(header, " "+col) {
+			t.Errorf("service header %q lacks column %q", header, col)
+		}
+	}
+	points := 0
+	for _, k := range benchgate.Keys(benchgate.Invariants(2)) {
+		if k.Offered == 0 {
+			continue
+		}
+		points++
+		row := ""
+		for _, l := range lines {
+			if strings.HasPrefix(l, k.String()+" ") {
+				row = l
+			}
+		}
+		f := strings.Fields(strings.TrimPrefix(row, k.String()))
+		if len(f) != 7 || f[0] != "7" || f[4] != "199.5" || f[5] != "2.5%" || f[6] != "7" {
+			t.Errorf("service row for %s = %q, want n=7, goodput 199.5, shed 2.5%%, depth 7", k, row)
+		}
+	}
+	if points == 0 {
+		t.Fatal("no invariant reads a service series")
+	}
+}
+
+// Every kept invariant exits 1 when its claimed-faster series is
+// doctored 100x slower.
+func TestDoctoredInversionExitsOne(t *testing.T) {
+	withProcs(t, 2)
+	for _, inv := range benchgate.Invariants(2) {
+		code, out, errOut := runCLI(t, uniform(func(rep *benchgate.Report, _ []benchgate.Invariant) {
+			s := rep.Find(inv.Fast)
+			for i := range s.SampleNs {
+				s.SampleNs[i] *= 100
+			}
+		}))
+		if code != 1 {
+			t.Errorf("%s doctored: exit %d, want 1\nstderr:\n%s", inv.Name, code, errOut)
+			continue
+		}
+		line := ""
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, inv.Name+" ") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, "VIOLATED") {
+			t.Errorf("%s doctored: its table line %q lacks VIOLATED", inv.Name, line)
+		}
+	}
+}
+
+func TestMissingSeriesExitsTwo(t *testing.T) {
+	withProcs(t, 2)
+	code, _, errOut := runCLI(t, uniform(func(rep *benchgate.Report, _ []benchgate.Invariant) {
+		rep.Series = rep.Series[1:]
+	}))
+	if code != 2 || !strings.Contains(errOut, "missing") {
+		t.Fatalf("missing series: exit %d, want 2\n%s", code, errOut)
+	}
+}
+
+// TestInterruptExits130 pins the interrupt contract: SIGINT cancels
+// the measurement, and the gate exits 130 without a verdict.
+func TestInterruptExits130(t *testing.T) {
+	withProcs(t, 2)
+	// Guard subscription: while registered, SIGINT cannot terminate
+	// the test process even if run's own handler is not yet installed
+	// when the signal lands.
+	guard := make(chan os.Signal, 1)
+	signal.Notify(guard, os.Interrupt)
+	defer signal.Stop(guard)
+
+	started := make(chan struct{})
+	blocking := func(ctx context.Context, _ []benchgate.Invariant) (*benchgate.Report, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	done := make(chan struct{})
+	var code int
+	var out, errOut string
+	go func() {
+		defer close(done)
+		code, out, errOut = runCLI(t, blocking)
+	}()
+	<-started
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != benchgate.SchemaVersion || rep.Env.GoVersion == "" || rep.Env.GOMAXPROCS < 1 {
-		t.Errorf("recorded env/schema incomplete: %+v", rep)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not exit after SIGINT")
 	}
-	if rep.Config.Reps != 2 || len(rep.Series) != 5 {
-		t.Errorf("recorded config/series unexpected: %+v", rep.Config)
+	if code != 130 || !strings.Contains(errOut, "interrupted") {
+		t.Fatalf("exit %d, want 130 with an interrupt notice\nstderr:\n%s", code, errOut)
+	}
+	if strings.Contains(out, "invariant") {
+		t.Errorf("interrupted run printed a verdict:\n%s", out)
 	}
 }

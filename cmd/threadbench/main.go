@@ -10,7 +10,7 @@
 //	threadbench [-fig fig1,fig5] [-threads 1,2,4] [-reps 3]
 //	            [-scale 1.0] [-partitioner eager|lazy] [-stats]
 //	            [-shards 4] [-balancer least-loaded]
-//	            [-verify] [-csv] [-out samples.json] [-list]
+//	            [-verify] [-csv] [-list]
 //	            [-trace trace.json] [-cpuprofile cpu.pb.gz]
 //	            [-memprofile mem.pb.gz]
 //
@@ -25,9 +25,7 @@
 // shards behind a shard.Resolver (-1 selects GOMAXPROCS; models
 // without a persistent runtime ignore it) and -balancer picks how
 // chunks are routed across shards; with -stats the tables then break
-// the counters out per shard. -out additionally writes every raw repetition in the
-// benchmark-gate sample schema (internal/benchgate), so even a smoke
-// run leaves an artifact `benchgate compare` can consume.
+// the counters out per shard.
 //
 // Observability: -trace records per-worker scheduler events across the
 // whole sweep and writes them as raw tracez JSON (inspect or convert
@@ -53,7 +51,6 @@ import (
 	"strings"
 	"syscall"
 
-	"threading/internal/benchgate"
 	"threading/internal/harness"
 	"threading/internal/shard"
 	"threading/internal/tracez"
@@ -76,7 +73,6 @@ func run() int {
 		stat    = flag.Bool("stats", false, "append per-cell scheduler counters to the tables")
 		verify  = flag.Bool("verify", false, "verify each model against the sequential reference before timing")
 		csv     = flag.Bool("csv", false, "emit CSV instead of tables")
-		out     = flag.String("out", "", "also write raw samples to this path in the benchmark-gate schema (compare with cmd/benchgate)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		shards  = flag.Int("shards", 0, "split each pooled model across N runtime shards (0 = off, -1 = GOMAXPROCS)")
 		balStr  = flag.String("balancer", "", "shard balancer: round-robin (default), random, least-loaded, or affinity")
@@ -164,7 +160,6 @@ func run() int {
 			Verify:      *verify,
 			Partitioner: part,
 			Stats:       *stat,
-			KeepSamples: *out != "",
 			Tracer:      tracer,
 			Shards:      *shards,
 			Balancer:    *balStr,
@@ -192,16 +187,6 @@ func run() int {
 	defer stop()
 
 	results, err := harness.RunSuiteCtx(ctx, cfg, os.Stdout)
-	// Export whatever completed — an interrupted sweep still leaves a
-	// compare-able partial artifact.
-	if *out != "" && len(results) > 0 {
-		rep := benchgate.FromResults(results, "cmd/threadbench", *reps, *scale)
-		if werr := benchgate.WriteFile(*out, rep); werr != nil {
-			fmt.Fprintf(os.Stderr, "threadbench: %v\n", werr)
-		} else {
-			fmt.Printf("wrote %s (%d series)\n", *out, len(rep.Series))
-		}
-	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "threadbench: interrupted; partial results above")

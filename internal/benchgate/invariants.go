@@ -1,211 +1,157 @@
 package benchgate
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"strings"
 
 	"threading/internal/models"
 	"threading/internal/stats"
 	"threading/internal/worksteal"
 )
 
-// Invariant is one of the paper's directional ordering claims as a
-// machine-checked assertion over a single report: the Fast key's
-// wall-time must not exceed the Slow key's beyond tolerance. These
-// are within-run relative claims, so they gate even when a baseline
-// was recorded on different hardware.
+// The gate's fixed parameters.
+const (
+	// grain is the distribution-stressing loop grain of the
+	// work-stealing kernel series: n/64 chunks per loop.
+	grain = 64
+	// minRatio is the default effect bound: a claimed-faster series
+	// violates its claim only when it is slower by at least this
+	// factor on both min and median. Loose, so that a shared machine's
+	// noise cannot flap the gate; only an inversion of kind fails it.
+	minRatio = 1.3
+	// timingAlpha and tailAlpha are the Mann-Whitney significance
+	// levels for whole-run timing claims and for per-request
+	// percentile claims. The percentile claims have hundreds of
+	// samples per side, so the stricter level still resolves a real
+	// shift while keeping percentile noise from flapping the gate.
+	timingAlpha = 0.05
+	tailAlpha   = 0.01
+	// shardOverheadRatio bounds the cost of splitting one pool into
+	// shards: the sharded runtime may be at most 10% slower than its
+	// single-pool twin on the flat loops.
+	shardOverheadRatio = 1.1
+	// pinOverheadRatio bounds the cost of locking workers to OS
+	// threads: with GOMAXPROCS matched to the worker count,
+	// LockOSThread should be nearly free; the bound catches a runtime
+	// change that makes pinning fight the Go scheduler.
+	pinOverheadRatio = 1.05
+	// tailParityRatio bounds cross-runtime p99 at low offered load,
+	// where tail latency is the kernel plus per-request scheduling
+	// overhead: no runtime may tail more than 3x beyond another. Loose
+	// by design — it flags a runtime that queues or serialises where
+	// the others do not, not percentage-level noise.
+	tailParityRatio = 3.0
+	// serveOffered is the low offered load (requests per second) the
+	// parity claims are defined at: far from saturation, so the tails
+	// measure the runtimes, not the load.
+	serveOffered = 200
+)
+
+// Invariant is one claim as a machine-checked assertion between two
+// series of one report: the Fast series must not be slower than the
+// Slow one beyond the bound.
 type Invariant struct {
 	// Name identifies the invariant, e.g. "sum-sharing-beats-stealing".
-	Name string `json:"name"`
-	// Claim states the paper's finding the invariant encodes.
-	Claim string `json:"claim"`
-	// Fast must not be slower than Slow beyond the Options tolerance.
-	Fast Key `json:"fast"`
-	Slow Key `json:"slow"`
-	// Ratio, when positive, overrides Options.MinRatio for this
-	// invariant: the bound is fast <= Ratio * slow. Bounded-overhead
-	// claims ("sharding costs at most 10%") carry their tolerance here
-	// so the CLI's noise threshold cannot loosen them.
-	Ratio float64 `json:"ratio,omitempty"`
-	// Metric selects the compared statistic. Empty gates on the
-	// min+median of whole-run repetition timings (the bench default);
-	// "p50", "p99", or "p999" gate on that percentile of per-request
-	// latency samples — the service-scenario tail claims.
-	Metric string `json:"metric,omitempty"`
-	// MinProcs, when positive, is the parallelism the claim assumes:
-	// CheckInvariants skips the invariant when GOMAXPROCS is below it.
-	// The sharded-tail bound carries 2 — when every shard timeshares
-	// one core, routing provably costs the tail, and gating would
-	// measure core oversubscription, not routing.
-	MinProcs int `json:"min_procs,omitempty"`
+	Name string
+	// Claim states the finding the invariant encodes.
+	Claim string
+	Fast  Key
+	Slow  Key
+	// Ratio, when positive, is the bound: fast <= Ratio * slow. Zero
+	// selects minRatio. Bounded-overhead claims ("sharding costs at
+	// most 10%") carry their own tight bound here.
+	Ratio float64
+	// Metric selects the compared statistic. Empty gates on the min and
+	// median of whole-run repetition timings; "p50", "p99" or "p999"
+	// gate on that percentile of per-request latency samples.
+	Metric string
 }
 
-// DefaultInvariants returns the gated ordering claims at the given
-// thread count and stress grain:
-//
-//   - work-sharing (omp_for) is not slower than eager work-stealing
-//     (cilk_for) on the flat Axpy and Sum loops at stress grain — the
-//     paper's Fig. 1/Fig. 2 ordering (cilk_for ~2x / ~5x worse);
-//   - lazy splitting is not slower than eager at stress grain on the
-//     same loops — the PR 2 adaptive-distribution win.
-func DefaultInvariants(threads, grain int) []Invariant {
+// Invariants returns the gated claims at the given thread count: for
+// each flat loop (Axpy, Sum) the two paper orderings and the pinning
+// and sharding bounds, the Fig. 5 spawn ordering on fib, and low-load
+// p99 parity between omp_for and the other two service runtimes.
+func Invariants(threads int) []Invariant {
 	var out []Invariant
 	for _, kernel := range []string{"axpy", "sum"} {
-		eager := Key{Kernel: kernel, Model: models.CilkFor, Threads: threads,
-			Grain: grain, Partitioner: worksteal.Eager.String()}
-		out = append(out,
-			Invariant{
-				Name:  kernel + "-sharing-beats-stealing",
-				Claim: fmt.Sprintf("omp_for <= eager cilk_for on flat %s at grain %d (paper Figs. 1-2)", kernel, grain),
-				Fast:  Key{Kernel: kernel, Model: models.OMPFor, Threads: threads, Grain: 0, Partitioner: "-"},
-				Slow:  eager,
-			},
-			Invariant{
-				Name:  kernel + "-lazy-beats-eager",
-				Claim: fmt.Sprintf("lazy cilk_for <= eager cilk_for on flat %s at grain %d (adaptive distribution)", kernel, grain),
-				Fast: Key{Kernel: kernel, Model: models.CilkFor, Threads: threads,
-					Grain: grain, Partitioner: worksteal.Lazy.String()},
-				Slow: eager,
-			})
+		out = append(out, loopInvariants(kernel, threads)...)
 	}
-	return out
+	out = append(out, fibInvariant(threads))
+	return append(out, latencyInvariants(threads)...)
 }
 
-// shardOverheadRatio bounds the cost of splitting one pool into
-// shards: the sharded runtime may be at most 10% slower than its
-// single-pool twin on the flat loops. The bound rides on the
-// invariant itself (Invariant.Ratio), so a loose CLI -ratio cannot
-// relax it.
-const shardOverheadRatio = 1.1
-
-// ShardInvariants returns the sharding-overhead claims: the sharded
-// work-stealing runtime (least-loaded routing) stays within
-// shardOverheadRatio of the single-pool eager cilk_for on the flat
-// Axpy and Sum loops at stress grain. Bounding steal domains must not
-// cost more than the routing saves.
-func ShardInvariants(threads, grain, shards int, balancer string) []Invariant {
-	var out []Invariant
-	for _, kernel := range []string{"axpy", "sum"} {
-		out = append(out, Invariant{
-			Name: kernel + "-sharding-overhead",
-			Claim: fmt.Sprintf("sharded cilk_for (%d shards, %s) <= %.1fx single-pool eager cilk_for on flat %s at grain %d",
-				shards, balancer, shardOverheadRatio, kernel, grain),
-			Fast: Key{Kernel: kernel, Model: models.ShardedPrefix + models.CilkFor, Threads: threads,
-				Grain: grain, Partitioner: worksteal.Eager.String(), Shards: shards, Balancer: balancer},
-			Slow: Key{Kernel: kernel, Model: models.CilkFor, Threads: threads,
-				Grain: grain, Partitioner: worksteal.Eager.String()},
-			Ratio: shardOverheadRatio,
-		})
-	}
-	return out
-}
-
-// pinOverheadRatio bounds the cost of locking workers to OS threads:
-// the pinned runtime may be at most 5% slower than its unpinned twin.
-// With GOMAXPROCS matched to the worker count, LockOSThread should be
-// nearly free; the bound catches a runtime change that makes pinning
-// fight the Go scheduler.
-const pinOverheadRatio = 1.05
-
-// PinInvariants returns the pinning-overhead claims: the pinned-worker
-// eager cilk_for stays within pinOverheadRatio of its unpinned twin on
-// the flat Axpy and Sum loops at stress grain.
-func PinInvariants(threads, grain int) []Invariant {
-	var out []Invariant
-	for _, kernel := range []string{"axpy", "sum"} {
-		unpinned := Key{Kernel: kernel, Model: models.CilkFor, Threads: threads,
-			Grain: grain, Partitioner: worksteal.Eager.String()}
-		pinned := unpinned
-		pinned.Pinned = true
-		out = append(out, Invariant{
+// loopInvariants returns the claims about one flat loop, all against
+// eager cilk_for at stress grain: omp_for and lazy cilk_for are not
+// slower (paper Figs. 1-2; adaptive distribution), and the pinned and
+// the sharded (GOMAXPROCS shards, least-loaded routing) forms of the
+// same runtime cost at most their overhead bounds.
+func loopInvariants(kernel string, threads int) []Invariant {
+	eager := Key{Kernel: kernel, Model: models.CilkFor, Threads: threads,
+		Grain: grain, Partitioner: worksteal.Eager.String()}
+	lazy := eager
+	lazy.Partitioner = worksteal.Lazy.String()
+	pinned := eager
+	pinned.Pinned = true
+	sharded := eager
+	sharded.Model = models.ShardedPrefix + models.CilkFor
+	sharded.Shards = threads
+	sharded.Balancer = "least-loaded"
+	return []Invariant{
+		{
+			Name:  kernel + "-sharing-beats-stealing",
+			Claim: fmt.Sprintf("omp_for <= eager cilk_for on flat %s at grain %d (paper Figs. 1-2)", kernel, grain),
+			Fast:  Key{Kernel: kernel, Model: models.OMPFor, Threads: threads, Partitioner: "-"},
+			Slow:  eager,
+		},
+		{
+			Name:  kernel + "-lazy-beats-eager",
+			Claim: fmt.Sprintf("lazy cilk_for <= eager cilk_for on flat %s at grain %d (adaptive distribution)", kernel, grain),
+			Fast:  lazy,
+			Slow:  eager,
+		},
+		{
 			Name: kernel + "-pinning-overhead",
 			Claim: fmt.Sprintf("pinned eager cilk_for <= %.2fx unpinned on flat %s at grain %d",
 				pinOverheadRatio, kernel, grain),
 			Fast:  pinned,
-			Slow:  unpinned,
+			Slow:  eager,
 			Ratio: pinOverheadRatio,
-		})
+		},
+		{
+			Name: kernel + "-sharding-overhead",
+			Claim: fmt.Sprintf("sharded cilk_for (%d shards, least-loaded) <= %.1fx single-pool eager cilk_for on flat %s at grain %d",
+				threads, shardOverheadRatio, kernel, grain),
+			Fast:  sharded,
+			Slow:  eager,
+			Ratio: shardOverheadRatio,
+		},
 	}
-	return out
 }
 
-// Latency-scenario bounds. Both ride on the invariant (Invariant.
-// Ratio), not the CLI noise threshold.
-//
-// tailParityRatio bounds cross-runtime p99 at low offered load: with
-// the service far from saturation, tail latency is dominated by the
-// kernel itself plus per-request scheduling overhead, so no runtime
-// may tail more than 3x beyond another's. The bound is loose by
-// design — it flags an inversion of kind (a runtime that queues or
-// serializes where others do not), not percentage-level noise.
-//
-// shardTailRatio bounds the sharded runtime's p99 against its
-// single-pool twin at low load: routing a request to one of k shards
-// must not cost more than 10% of the tail — the latency twin of the
-// throughput sharding-overhead bound.
-const (
-	tailParityRatio = 3.0
-	shardTailRatio  = 1.1
-)
+// fibInvariant is the spawn-heavy ordering claim of the paper's
+// Fig. 5: cilk_spawn (lock-free Chase-Lev deques, arena-recycled task
+// records) is not slower than omp task (locked team deques) on uncut
+// recursive Fibonacci.
+func fibInvariant(threads int) Invariant {
+	return Invariant{
+		Name:  "fib-spawn-beats-omp-task",
+		Claim: "cilk_spawn <= omp_task on uncut recursive fib (paper Fig. 5: lock-based deques contend)",
+		Fast:  Key{Kernel: "fib", Model: models.CilkSpawn, Threads: threads, Partitioner: worksteal.Eager.String()},
+		Slow:  Key{Kernel: "fib", Model: models.OMPTask, Threads: threads, Partitioner: "-"},
+	}
+}
 
-// metricsOverheadRatio bounds what continuous telemetry may cost the
-// service: with the registry, samplers, watchdog, and request-id
-// tracing enabled, median latency at low load may be at most 5% above
-// the telemetry-off twin. The fast paths are designed allocation-free
-// and atomic-only, so anything past 5% means an update leaked onto
-// the request path.
-const metricsOverheadRatio = 1.05
-
-// LatencyInvariants returns the service-scenario tail claims for a
-// latency report: pairwise low-load p99 parity between the reference
-// runtime (omp_for, or the first configured model) and every other
-// unsharded model — both directions, since parity is symmetric — and
-// the sharded-tail bound for every sharded model whose single-pool
-// twin was also swept — plus, when the run measured telemetry-enabled
-// series, the metrics-overhead bound pitting the reference model
-// against its telemetry-off twin. All claims are defined at the
-// lowest offered point, where queueing is rare and the tails measure
-// the runtimes, not the load.
-func LatencyInvariants(cfg RunConfig) []Invariant {
-	if cfg.Scenario == "" || len(cfg.Offered) == 0 || len(cfg.Models) == 0 {
-		return nil
-	}
-	low := cfg.Offered[0]
-	for _, o := range cfg.Offered {
-		if o < low {
-			low = o
-		}
-	}
-	kernel := "sum"
-	if len(cfg.Kernels) > 0 {
-		kernel = cfg.Kernels[0]
-	}
+// latencyInvariants returns the low-load p99 parity claims between
+// the reference service runtime (omp_for) and each of cilk_for and
+// cpp_async, in both directions since parity is symmetric.
+func latencyInvariants(threads int) []Invariant {
 	key := func(model string) Key {
-		k := Key{Kernel: kernel, Model: model, Threads: cfg.Threads,
-			Partitioner: "-", Scenario: cfg.Scenario, Offered: low,
-			Metrics: cfg.Metrics}
-		if strings.HasPrefix(model, models.ShardedPrefix) {
-			k.Shards = cfg.Shards
-			k.Balancer = cfg.Balancer
-		}
-		return k
+		return Key{Kernel: "sum", Model: model, Threads: threads, Partitioner: "-", Offered: serveOffered}
 	}
-	ref := cfg.Models[0]
-	for _, m := range cfg.Models {
-		if m == models.OMPFor {
-			ref = m
-			break
-		}
-	}
+	const ref = models.OMPFor
+	claim := fmt.Sprintf("low-load p99 parity at %d rps: %%s <= %.1fx %%s", serveOffered, tailParityRatio)
 	var out []Invariant
-	for _, m := range cfg.Models {
-		if m == ref || strings.HasPrefix(m, models.ShardedPrefix) {
-			continue
-		}
-		claim := fmt.Sprintf("low-load p99 parity at %d rps: %%s <= %.1fx %%s", low, tailParityRatio)
+	for _, m := range []string{models.CilkFor, models.CPPAsync} {
 		out = append(out,
 			Invariant{
 				Name:   "serve-p99-parity-" + m,
@@ -224,82 +170,20 @@ func LatencyInvariants(cfg RunConfig) []Invariant {
 				Metric: "p99",
 			})
 	}
-	if cfg.Metrics {
-		off := key(ref)
-		off.Metrics = false
-		out = append(out, Invariant{
-			Name: "serve-metrics-overhead",
-			Claim: fmt.Sprintf("telemetry-on %s p50 <= %.2fx telemetry-off twin at %d rps (continuous metrics must be ~free)",
-				ref, metricsOverheadRatio, low),
-			Fast:   key(ref),
-			Slow:   off,
-			Ratio:  metricsOverheadRatio,
-			Metric: "p50",
-		})
-	}
-	for _, m := range cfg.Models {
-		base, ok := strings.CutPrefix(m, models.ShardedPrefix)
-		if !ok {
-			continue
-		}
-		for _, twin := range cfg.Models {
-			if twin == base {
-				out = append(out, Invariant{
-					Name: "serve-sharded-tail-overhead",
-					Claim: fmt.Sprintf("sharded %s p99 <= %.1fx single-pool at %d rps (routing must not cost the tail)",
-						base, shardTailRatio, low),
-					Fast:     key(m),
-					Slow:     key(twin),
-					Ratio:    shardTailRatio,
-					Metric:   "p99",
-					MinProcs: 2,
-				})
-				break
-			}
-		}
-	}
 	return out
 }
 
-// FibInvariant returns the spawn-heavy ordering claim of the paper's
-// Fig. 5: cilk_spawn (lock-free Chase-Lev deques, arena-recycled task
-// records) is not slower than omp task (locked team deques) on uncut
-// recursive Fibonacci. This is the series the task-arena fast path is
-// accountable to.
-func FibInvariant(threads int) Invariant {
-	return Invariant{
-		Name:  "fib-spawn-beats-omp-task",
-		Claim: "cilk_spawn <= omp_task on uncut recursive fib (paper Fig. 5: lock-based deques contend)",
-		Fast: Key{Kernel: "fib", Model: models.CilkSpawn, Threads: threads,
-			Grain: 0, Partitioner: worksteal.Eager.String()},
-		Slow: Key{Kernel: "fib", Model: models.OMPTask, Threads: threads,
-			Grain: 0, Partitioner: "-"},
-	}
-}
-
-// InvariantsFor returns every invariant a report with the given run
-// configuration must satisfy: the paper's ordering claims, the
-// sharding-overhead bound when the run measured a sharded series, the
-// pinning-overhead bound when it measured pinned twins, and the
-// Fig. 5 spawn ordering when it measured the fib kernel. A latency
-// report (Config.Scenario set) carries only the tail claims — its
-// series hold per-request latencies, not kernel repetition timings,
-// so the bench invariants do not apply.
-func InvariantsFor(cfg RunConfig) []Invariant {
-	if cfg.Scenario != "" {
-		return LatencyInvariants(cfg)
-	}
-	out := DefaultInvariants(cfg.Threads, cfg.Grain)
-	if cfg.Shards != 0 {
-		out = append(out, ShardInvariants(cfg.Threads, cfg.Grain, cfg.Shards, cfg.Balancer)...)
-	}
-	if cfg.Pinned {
-		out = append(out, PinInvariants(cfg.Threads, cfg.Grain)...)
-	}
-	for _, k := range cfg.Kernels {
-		if k == "fib" {
-			out = append(out, FibInvariant(cfg.Threads))
-			break
+// Keys returns every series the invariants read, once each, in first
+// use order — exactly what a gate run must measure.
+func Keys(invs []Invariant) []Key {
+	seen := make(map[Key]bool)
+	var out []Key
+	for _, inv := range invs {
+		for _, k := range []Key{inv.Fast, inv.Slow} {
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, k)
+			}
 		}
 	}
 	return out
@@ -309,82 +193,67 @@ func InvariantsFor(cfg RunConfig) []Invariant {
 type InvariantResult struct {
 	Invariant
 	// Holds is false only for a statistically significant inversion
-	// beyond tolerance. A skipped invariant holds vacuously.
-	Holds bool `json:"holds"`
-	// Skipped is true when the invariant could not be evaluated;
-	// SkipReason says why (missing keys, unknown metric, or a machine
-	// below the claim's MinProcs).
-	Skipped    bool   `json:"skipped"`
-	SkipReason string `json:"skip_reason,omitempty"`
+	// beyond the bound.
+	Holds bool
 	// P is the U-test p-value for fast-vs-slow samples.
-	P float64 `json:"p"`
+	P float64
 	// MinRatio and MedianRatio are fast/slow; > 1 means the claimed
-	// faster side measured slower.
-	MinRatio    float64 `json:"min_ratio"`
-	MedianRatio float64 `json:"median_ratio"`
+	// faster side measured slower. A percentile claim sets both to the
+	// ratio of its percentile.
+	MinRatio    float64
+	MedianRatio float64
 }
 
-// CheckInvariants evaluates each invariant against the report. An
-// invariant is violated only when the claimed-faster side is slower
-// by at least opt.MinRatio on both min and median AND the U test
-// rejects equality at opt.Alpha — mirroring the regression verdict
-// logic, so runner noise cannot flap the gate.
-func CheckInvariants(rep *Report, invs []Invariant, opt Options) []InvariantResult {
-	opt = opt.withDefaults()
+// CheckInvariants evaluates each invariant against the report. It
+// fails — rather than skipping the claim — when a series an invariant
+// reads is missing or names an unknown metric: nothing passes by not
+// being measured.
+func CheckInvariants(rep *Report, invs []Invariant) ([]InvariantResult, error) {
 	out := make([]InvariantResult, 0, len(invs))
 	for _, inv := range invs {
-		res := InvariantResult{Invariant: inv, Holds: true}
-		if inv.MinProcs > 0 && runtime.GOMAXPROCS(0) < inv.MinProcs {
-			res.Skipped = true
-			res.SkipReason = fmt.Sprintf("needs GOMAXPROCS >= %d", inv.MinProcs)
-			res.P = 1
-			out = append(out, res)
-			continue
-		}
 		fast, slow := rep.Find(inv.Fast), rep.Find(inv.Slow)
 		if fast == nil || slow == nil {
-			res.Skipped = true
-			res.SkipReason = "keys absent"
-			res.P = 1
-			out = append(out, res)
-			continue
+			return nil, fmt.Errorf("benchgate: invariant %s: series missing (fast %s: %t, slow %s: %t)",
+				inv.Name, inv.Fast, fast != nil, inv.Slow, slow != nil)
 		}
-		u := stats.MannWhitneyU(toFloat(fast.SampleNs), toFloat(slow.SampleNs))
-		res.P = u.P
-		bound := opt.MinRatio
-		if inv.Ratio > 0 {
-			bound = inv.Ratio
+		r, err := classify(inv, fast.SampleNs, slow.SampleNs)
+		if err != nil {
+			return nil, err
 		}
-		if inv.Metric != "" {
-			// Percentile claim: the named quantile of the fast side's
-			// latency samples must stay within bound of the slow side's,
-			// and the U test must reject distribution equality — a tail
-			// blip without a distribution shift is noise, not a verdict.
-			q, ok := metricQuantile(inv.Metric)
-			if !ok {
-				res.Skipped = true
-				res.SkipReason = "unknown metric " + inv.Metric
-				res.P = 1
-				out = append(out, res)
-				continue
-			}
-			r := ratio(stats.PercentileNs(fast.SampleNs, q), stats.PercentileNs(slow.SampleNs, q))
-			res.MinRatio, res.MedianRatio = r, r
-			if u.P < opt.Alpha && r >= bound {
-				res.Holds = false
-			}
-			out = append(out, res)
-			continue
-		}
-		fastSum, slowSum := Summarize(fast.SampleNs), Summarize(slow.SampleNs)
-		res.MinRatio = ratio(fastSum.MinNs, slowSum.MinNs)
-		res.MedianRatio = ratio(fastSum.MedianNs, slowSum.MedianNs)
-		if u.P < opt.Alpha && res.MinRatio >= bound && res.MedianRatio >= bound {
-			res.Holds = false
-		}
-		out = append(out, res)
+		out = append(out, r)
 	}
-	return out
+	return out, nil
+}
+
+// classify applies the verdict rule to one invariant's samples. The
+// claim is violated only when the U test rejects equality AND the
+// claimed-faster side is slower by at least the bound — on both min
+// and median for a timing claim, on the named percentile for a tail
+// claim. The two conditions keep single-run noise (which can reach
+// significance on micro-kernels) and single-sample tail blips from
+// flipping a verdict without a material, distribution-wide effect.
+func classify(inv Invariant, fast, slow []int64) (InvariantResult, error) {
+	res := InvariantResult{Invariant: inv, Holds: true}
+	res.P = stats.MannWhitneyU(toFloat(fast), toFloat(slow)).P
+	bound := minRatio
+	if inv.Ratio > 0 {
+		bound = inv.Ratio
+	}
+	if inv.Metric == "" {
+		fs, ss := Summarize(fast), Summarize(slow)
+		res.MinRatio = ratio(fs.MinNs, ss.MinNs)
+		res.MedianRatio = ratio(fs.MedianNs, ss.MedianNs)
+		res.Holds = !(res.P < timingAlpha && res.MinRatio >= bound && res.MedianRatio >= bound)
+		return res, nil
+	}
+	q, ok := metricQuantile(inv.Metric)
+	if !ok {
+		return res, fmt.Errorf("benchgate: invariant %s: unknown metric %q (have p50, p99, p999)", inv.Name, inv.Metric)
+	}
+	r := ratio(stats.PercentileNs(fast, q), stats.PercentileNs(slow, q))
+	res.MinRatio, res.MedianRatio = r, r
+	res.Holds = !(res.P < tailAlpha && r >= bound)
+	return res, nil
 }
 
 // metricQuantile maps an Invariant.Metric spelling to its quantile.
@@ -400,6 +269,13 @@ func metricQuantile(m string) (float64, bool) {
 	return 0, false
 }
 
+func ratio(num, den int64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
 // AnyViolated reports whether any invariant failed.
 func AnyViolated(rs []InvariantResult) bool {
 	for _, r := range rs {
@@ -410,33 +286,26 @@ func AnyViolated(rs []InvariantResult) bool {
 	return false
 }
 
-// WriteInvariantTable renders invariant results as a human table.
-func WriteInvariantTable(w io.Writer, label string, rs []InvariantResult) {
-	fmt.Fprintf(w, "directional invariants (%s):\n", label)
+// WriteInvariantTable renders invariant results, one line each with
+// the measured fast/slow ratios (min and median; a percentile claim
+// shows its percentile ratio twice) against the bound and the U-test
+// p-value.
+func WriteInvariantTable(w io.Writer, rs []InvariantResult) {
+	fmt.Fprintf(w, "%-36s %-8s %-6s %7s %7s %7s %8s  %s\n",
+		"invariant", "status", "metric", "ratio", "median", "bound", "p", "claim")
 	for _, r := range rs {
 		status := "ok"
-		switch {
-		case r.Skipped:
-			status = "skipped (" + r.SkipReason + ")"
-		case !r.Holds:
-			metric := "min"
-			if r.Metric != "" {
-				metric = r.Metric
-			}
-			status = fmt.Sprintf("VIOLATED (fast/slow %s ratio %.2f, p=%.4f)", metric, r.MinRatio, r.P)
+		if !r.Holds {
+			status = "VIOLATED"
 		}
-		fmt.Fprintf(w, "  %-28s %-10s %s\n", r.Name, status, r.Claim)
-	}
-}
-
-// WriteInvariantJSON emits one JSON object per invariant result
-// (NDJSON).
-func WriteInvariantJSON(w io.Writer, rs []InvariantResult) error {
-	enc := json.NewEncoder(w)
-	for _, r := range rs {
-		if err := enc.Encode(r); err != nil {
-			return err
+		metric, bound := "min", minRatio
+		if r.Metric != "" {
+			metric = r.Metric
 		}
+		if r.Ratio > 0 {
+			bound = r.Ratio
+		}
+		fmt.Fprintf(w, "%-36s %-8s %-6s %7.3f %7.3f %7.2f %8.4f  %s\n",
+			r.Name, status, metric, r.MinRatio, r.MedianRatio, bound, r.P, r.Claim)
 	}
-	return nil
 }

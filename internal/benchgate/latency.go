@@ -3,18 +3,12 @@ package benchgate
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"strings"
-	"sync"
-	"time"
+	"net/http"
+	"net/http/httptest"
 
 	"threading/internal/loadgen"
-	"threading/internal/models"
 	"threading/internal/serve"
 )
-
-// Scenario names the service scenario latency reports are keyed by.
-const Scenario = "serve"
 
 // warmBurst is the number of closed-loop requests driven through each
 // freshly booted server before its measured points, so no series pays
@@ -25,348 +19,138 @@ const warmBurst = 64
 // seedStride separates the per-server arrival-schedule seeds when a
 // point is measured concurrently, so the servers' Poisson schedules
 // are decorrelated: identical seeds would fire every arrival at the
-// same instant and serialize the pair on a small machine.
+// same instant and serialize the servers on a small machine.
 const seedStride = 1000003
 
-// DefaultServeModels is the default latency sweep: the two paper
-// families with persistent runtimes (work-sharing team, work-stealing
-// pool), the sharded pool (so the sharded-tail bound has a subject),
-// and the per-request cpp_async model as the no-runtime contrast.
-func DefaultServeModels() []string {
-	return []string{models.OMPFor, models.CilkFor,
-		models.ShardedPrefix + models.CilkFor, models.CPPAsync}
-}
-
-// DefaultOffered is the default offered-load sweep in requests per
-// second: a low point where queueing is rare (the tail-parity and
-// sharded-tail claims are defined there), then doublings that spread
-// utilization so goodput tracking offered load — and any departure
-// from it — is visible across the sweep.
-func DefaultOffered() []int { return []int{200, 400, 800} }
-
-// LatencySuiteConfig selects what RunLatencySuite measures.
+// LatencySuiteConfig sizes RunLatencySuite.
 type LatencySuiteConfig struct {
-	// Models to sweep; empty selects DefaultServeModels.
-	Models []string
-	// Kernel each request executes; empty selects "sum".
-	Kernel string
-	// Threads is each runtime's worker count; 0 selects GOMAXPROCS.
-	Threads int
-	// Offered lists the swept arrival rates in requests/second; empty
-	// selects DefaultOffered.
-	Offered []int
-	// Requests is the number of arrivals per point; 0 selects 400.
+	// Requests is the number of arrivals per series; 0 selects 2000.
+	// The first tenth are warm-up, excluded from the measurements. A
+	// p99 over n samples is decided by its n/100 worst requests: on a
+	// 2-vCPU guest, one shared scheduling hiccup swung a parity ratio
+	// to 8.5x at 300 arrivals, while at 2000 the ratios stayed within
+	// 0.36-2.78 over ten runs.
 	Requests int
-	// Warmup arrivals are excluded from every point's measurements;
-	// negative selects Requests/10, 0 keeps 0.
-	Warmup int
-	// Shards splits the sharded models' runtimes; 0 selects 2.
-	Shards int
-	// Balancer routes the sharded models; empty selects least-loaded,
-	// the balancer the sharded-tail bound is claimed for.
-	Balancer string
-	// Queue bounds each server's admission queue; 0 keeps the serve
-	// default (4x threads).
-	Queue int
-	// Timeout is the per-request deadline; 0 keeps the serve default.
-	Timeout time.Duration
 	// WorkSize is the kernel working-set knob (serve.Config.WorkSize);
 	// 0 keeps the serve default.
 	WorkSize int
-	// Seed drives the deterministic arrival schedule; 0 selects 1.
-	Seed uint64
 }
 
-func (c LatencySuiteConfig) withDefaults() LatencySuiteConfig {
-	if len(c.Models) == 0 {
-		c.Models = DefaultServeModels()
-	}
-	if c.Kernel == "" {
-		c.Kernel = "sum"
-	}
-	if c.Threads <= 0 {
-		c.Threads = runtime.GOMAXPROCS(0)
-	}
-	if len(c.Offered) == 0 {
-		c.Offered = DefaultOffered()
-	}
-	if c.Requests <= 0 {
-		c.Requests = 400
-	}
-	if c.Warmup < 0 {
-		c.Warmup = c.Requests / 10
-	}
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
-	if c.Balancer == "" {
-		c.Balancer = "least-loaded"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// RunConfig returns the schema record of this configuration.
-func (c LatencySuiteConfig) RunConfig() RunConfig {
-	c = c.withDefaults()
-	return RunConfig{
-		Threads:  c.Threads,
-		Reps:     c.Requests,
-		Kernels:  []string{c.Kernel},
-		Shards:   c.Shards,
-		Balancer: c.Balancer,
-		Scenario: Scenario,
-		Offered:  c.Offered,
-		Requests: c.Requests,
-		Models:   c.Models,
-		Seed:     c.Seed,
-		Metrics:  true,
-	}
-}
-
-// RunLatencySuite sweeps every configured model across the offered-
-// load points and returns a latency report: one series per (model,
-// offered) whose samples are per-request latencies, with goodput,
-// shed rate, and the point's peak admission-queue depth alongside.
-// Each model is a fresh in-process threadserve driven through
-// loadgen.HandlerTarget — no sockets, so the measured latency is
-// admission + scheduling + kernel execution.
+// RunLatencySuite measures the given service series and returns their
+// per-request latencies, with goodput, shed rate and the peak
+// admission-queue depth alongside. Each distinct (model, threads)
+// is one in-process threadserve driven through loadgen — no sockets,
+// so the measured latency is admission + scheduling + kernel
+// execution.
 //
-// Every server runs with the live telemetry registry enabled — the
-// production configuration — and each point's series carries the
-// registry deltas scraped over its window (Series.Telemetry). One extra
-// server re-measures the reference model at the lowest offered point
-// with telemetry off, so the metrics-overhead invariant has its twin.
+// All servers boot (and warm) up front, and each offered-load point is
+// measured across its series concurrently: one open-loop arrival
+// stream per series over the same wall-clock window, issued by one
+// loadgen dispatcher. The invariants are ratios between series at the
+// same point, and a sequential series-after-series sweep hands each a
+// different position in machine-wide drift; sharing the window makes
+// drift and noise bursts common-mode. The combined offered load stays
+// far below the service rate, so cross-server contention is
+// second-order and symmetric.
 //
-// All servers boot (and warm) up front and each offered point is
-// measured across them concurrently — one open-loop generator per
-// server over the same wall-clock window. The latency invariants are
-// ratios between series at the same point, and a sequential
-// model-after-model sweep hands each series a different position in
-// machine-wide drift (frequency scaling, cache warm-up, noisy
-// neighbors) — on a drifting box the last-measured series wins every
-// comparison by position alone. Sharing the window makes drift and
-// noise bursts common-mode: they land on both sides of every ratio.
-// The combined offered load stays far below the service rate, so
-// cross-server contention is second-order and symmetric.
-//
-// Canceling ctx stops the sweep at the next point boundary (the
-// in-flight point finishes early with a partial measurement, which is
-// discarded) and returns the points measured so far alongside ctx's
-// error — the partial-report path the SIGINT contract is built on.
-func RunLatencySuite(ctx context.Context, cfg LatencySuiteConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
-	rep := New("cmd/loadsweep", cfg.RunConfig())
-
-	low := cfg.Offered[0]
-	for _, o := range cfg.Offered {
-		if o < low {
-			low = o
-		}
+// Canceling ctx abandons the in-flight point and returns ctx's error.
+func RunLatencySuite(ctx context.Context, keys []Key, cfg LatencySuiteConfig) (*Report, error) {
+	if cfg.Requests <= 0 {
+		cfg.Requests = 2000
 	}
-
-	var servers []*latencyServer
+	type runtimeKey struct {
+		model   string
+		threads int
+	}
+	servers := make(map[runtimeKey]*serve.Server)
 	defer func() {
-		for _, sv := range servers {
-			sv.srv.Close()
+		for _, s := range servers {
+			s.Close()
 		}
 	}()
-	for _, model := range cfg.Models {
-		sv, err := bootLatencyServer(cfg, model, true)
-		if err != nil {
-			return rep, err
+	var points []int
+	byPoint := make(map[int][]Key)
+	for _, k := range keys {
+		rk := runtimeKey{k.Model, k.Threads}
+		if servers[rk] == nil {
+			s, err := serve.New(serve.Config{Model: k.Model, Threads: k.Threads, WorkSize: cfg.WorkSize})
+			if err != nil {
+				return nil, fmt.Errorf("benchgate: boot %s: %w", k.Model, err)
+			}
+			servers[rk] = s
+			if err := warm(ctx, s, path(k)); err != nil {
+				return nil, err
+			}
 		}
-		servers = append(servers, sv)
-	}
-	twin, err := bootLatencyServer(cfg, refServeModel(cfg.Models), false)
-	if err != nil {
-		return rep, err
-	}
-	servers = append(servers, twin)
-
-	path := "/run?kernel=" + cfg.Kernel
-	for _, sv := range servers {
-		if err := sv.warm(ctx, path); err != nil {
-			return rep, err
+		if byPoint[k.Offered] == nil {
+			points = append(points, k.Offered)
 		}
+		byPoint[k.Offered] = append(byPoint[k.Offered], k)
 	}
 
-	for _, point := range cfg.Offered {
-		if err := runLatencyPoint(ctx, cfg, rep, servers, path, point, low); err != nil {
-			return rep, err
+	rep := &Report{}
+	for _, point := range points {
+		ks := byPoint[point]
+		srvs := make([]*serve.Server, len(ks))
+		for i, k := range ks {
+			srvs[i] = servers[runtimeKey{k.Model, k.Threads}]
 		}
-	}
-	return rep, rep.Validate()
-}
-
-// refServeModel picks the reference runtime the parity and overhead
-// invariants anchor on: omp_for when swept, else the first model.
-func refServeModel(swept []string) string {
-	for _, m := range swept {
-		if m == models.OMPFor {
-			return m
+		if err := runLatencyPoint(ctx, cfg, rep, ks, srvs); err != nil {
+			return nil, err
 		}
 	}
-	return swept[0]
+	return rep, nil
 }
 
-// latencyServer is one booted runtime in the sweep plus its series
-// key shape — the Metrics flag doubles as "is the telemetry-off
-// twin", which only the lowest offered point measures.
-type latencyServer struct {
-	cfg   LatencySuiteConfig
-	model string
-	srv   *serve.Server
-	key   Key
-}
-
-// bootLatencyServer boots one in-process threadserve for the sweep.
-func bootLatencyServer(cfg LatencySuiteConfig, model string, metricsOn bool) (*latencyServer, error) {
-	scfg := serve.Config{
-		Model:    model,
-		Threads:  cfg.Threads,
-		Queue:    cfg.Queue,
-		Timeout:  cfg.Timeout,
-		WorkSize: cfg.WorkSize,
-		Metrics:  metricsOn,
-	}
-	k := Key{Kernel: cfg.Kernel, Model: model, Threads: cfg.Threads,
-		Partitioner: "-", Scenario: Scenario, Metrics: metricsOn}
-	if strings.HasPrefix(model, models.ShardedPrefix) {
-		scfg.Shards = cfg.Shards
-		scfg.Balancer = cfg.Balancer
-		k.Shards = cfg.Shards
-		k.Balancer = cfg.Balancer
-	}
-	s, err := serve.New(scfg)
-	if err != nil {
-		return nil, fmt.Errorf("benchgate: boot %s: %w", model, err)
-	}
-	return &latencyServer{cfg: cfg, model: model, srv: s, key: k}, nil
-}
+func path(k Key) string { return "/run?kernel=" + k.Kernel }
 
 // warm drives warmBurst closed-loop requests through the server so a
 // freshly booted runtime's spin-up cost never lands in a measured
-// point. Outcomes are ignored; the per-round open-loop warmup still
+// point. Outcomes are ignored; the per-series open-loop warm-up still
 // applies on top.
-func (sv *latencyServer) warm(ctx context.Context, path string) error {
-	target := loadgen.HandlerTarget{Handler: sv.srv}
+func warm(ctx context.Context, h http.Handler, path string) error {
 	for i := 0; i < warmBurst; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		_, _ = target.Do(ctx, path)
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
 	}
 	return nil
 }
 
-// runLatencyPoint measures one offered-load point for every server
-// concurrently — one open-loop generator per server, decorrelated
-// arrival schedules, one shared wall-clock window — and appends the
-// completed series to rep. The telemetry-off twin (the last server)
-// joins only at the lowest offered point, where the metrics-overhead
-// invariant lives. A canceled ctx abandons the whole point — no
-// partial series is added.
-func runLatencyPoint(ctx context.Context, cfg LatencySuiteConfig, rep *Report, servers []*latencyServer, path string, point, low int) error {
-	measured := make([]*latencyServer, 0, len(servers))
-	before := make([]map[string]float64, 0, len(servers))
-	for _, sv := range servers {
-		if !sv.key.Metrics && point != low {
-			continue
-		}
-		sv.srv.Stats(true) // reset the peak-depth watermark for this point
-		var b map[string]float64
-		if reg := sv.srv.Registry(); reg != nil {
-			b = reg.Gather()
-		}
-		measured = append(measured, sv)
-		before = append(before, b)
-	}
-
-	results := make([]loadgen.Result, len(measured))
-	errs := make([]error, len(measured))
-	var wg sync.WaitGroup
-	for i, sv := range measured {
-		wg.Add(1)
-		go func(i int, sv *latencyServer) {
-			defer wg.Done()
-			results[i], errs[i] = loadgen.Run(ctx, loadgen.Config{
-				Target:   loadgen.HandlerTarget{Handler: sv.srv},
-				Path:     path,
-				Offered:  float64(point),
-				Requests: cfg.Requests,
-				Warmup:   cfg.Warmup,
-				Seed:     cfg.Seed + uint64(i)*seedStride,
-			})
-		}(i, sv)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+// runLatencyPoint measures one offered-load point: one open-loop
+// arrival stream per series, decorrelated schedules, one shared
+// wall-clock window. It appends the completed series to rep.
+func runLatencyPoint(ctx context.Context, cfg LatencySuiteConfig, rep *Report, keys []Key, srvs []*serve.Server) error {
+	points := make([]loadgen.Config, len(keys))
+	for i, k := range keys {
+		srvs[i].Stats(true) // reset the peak-depth watermark for this point
+		points[i] = loadgen.Config{
+			Handler:  srvs[i],
+			Path:     path(k),
+			Offered:  float64(k.Offered),
+			Requests: cfg.Requests,
+			Warmup:   cfg.Requests / 10,
+			Seed:     1 + uint64(i)*seedStride,
 		}
 	}
-
-	for i, sv := range measured {
+	results, err := loadgen.Run(ctx, points...)
+	if err != nil {
+		return err
+	}
+	for i, k := range keys {
 		res := results[i]
 		if len(res.LatencyNs) == 0 {
-			return fmt.Errorf("benchgate: %s at %d rps completed no requests (%d shed, %d timeouts, %d errors)",
-				sv.model, point, res.Shed, res.Timeouts, res.Errors)
+			return fmt.Errorf("benchgate: %s completed no requests (%d shed, %d timeouts, %d errors)",
+				k, res.Shed, res.Timeouts, res.Errors)
 		}
-		k := sv.key
-		k.Offered = point
-		ser := Series{
+		rep.Add(Series{
 			Key:        k,
 			SampleNs:   res.LatencyNs,
 			Goodput:    res.Goodput(),
 			ShedRate:   res.ShedRate(),
-			QueueDepth: int(sv.srv.Stats(false).PeakDepth),
-		}
-		if reg := sv.srv.Registry(); reg != nil {
-			ser.Telemetry = scrapeWindow(before[i], reg.Gather())
-		}
-		rep.Add(ser)
+			QueueDepth: int(srvs[i].Stats(false).PeakDepth),
+		})
 	}
 	return nil
-}
-
-// scrapeWindow reduces two registry scrapes bracketing one offered-
-// load point to the compact map stored in Series.Telemetry: deltas of
-// the scheduler and request-outcome counters, watchdog stalls and
-// trace-ring drops over the window, and the end-of-window mean
-// per-worker utilization.
-func scrapeWindow(before, after map[string]float64) map[string]float64 {
-	const (
-		schedPfx = `threadserve_sched_total{counter="`
-		reqPfx   = `threadserve_requests_total{outcome="`
-	)
-	out := map[string]float64{"stalls": 0, "trace_dropped": 0}
-	var utilSum float64
-	var utilN int
-	for k, v := range after {
-		d := v - before[k]
-		switch {
-		case strings.HasPrefix(k, schedPfx):
-			if d != 0 {
-				out["sched."+strings.TrimSuffix(k[len(schedPfx):], `"}`)] = d
-			}
-		case strings.HasPrefix(k, reqPfx):
-			if d != 0 {
-				out["requests."+strings.TrimSuffix(k[len(reqPfx):], `"}`)] = d
-			}
-		case strings.HasPrefix(k, "threadserve_sched_stalls_total"):
-			out["stalls"] += d
-		case strings.HasPrefix(k, "threadserve_trace_dropped_total"):
-			out["trace_dropped"] += d
-		case strings.HasPrefix(k, "threadserve_worker_utilization{"):
-			utilSum += v
-			utilN++
-		}
-	}
-	if utilN > 0 {
-		out["worker_util_mean"] = utilSum / float64(utilN)
-	}
-	return out
 }

@@ -2,114 +2,53 @@ package benchgate
 
 import (
 	"context"
-	"runtime"
+	"errors"
+	"strings"
 	"testing"
 
 	"threading/internal/models"
 )
 
-// latencyReport builds a healthy low-load latency report: every
-// runtime's per-request latency distribution is near-identical, the
-// parity, sharded-tail, and metrics-overhead claims all hold.
-func latencyReport() *Report {
-	cfg := LatencySuiteConfig{
-		Models:  []string{models.OMPFor, models.CilkFor, models.ShardedPrefix + models.CilkFor},
-		Threads: 1, Offered: []int{200, 400}, Requests: 40,
-	}
-	rep := New("test", cfg.RunConfig())
-	base := []int64{100, 102, 104, 106, 108, 110, 112, 114, 116, 200}
-	series := func(k Key) {
-		ns := make([]int64, len(base))
-		copy(ns, base)
-		rep.Add(Series{Key: k, SampleNs: ns, Goodput: float64(k.Offered), ShedRate: 0})
-	}
-	for _, m := range rep.Config.Models {
-		for _, off := range rep.Config.Offered {
-			k := Key{Kernel: "sum", Model: m, Threads: 1,
-				Partitioner: "-", Scenario: Scenario, Offered: off, Metrics: true}
-			if m == models.ShardedPrefix+models.CilkFor {
-				k.Shards = rep.Config.Shards
-				k.Balancer = rep.Config.Balancer
-			}
-			series(k)
-		}
-	}
-	// The telemetry-off twin of the reference model at the low point.
-	series(Key{Kernel: "sum", Model: models.OMPFor, Threads: 1,
-		Partitioner: "-", Scenario: Scenario, Offered: 200})
-	return rep
-}
-
 func TestLatencyInvariantsShape(t *testing.T) {
-	rep := latencyReport()
-	invs := InvariantsFor(rep.Config)
-	// cilk_for <-> omp_for parity both ways, the sharded-tail bound
-	// (all p99), plus the metrics-overhead bound (p50): four claims at
-	// the low offered point.
+	invs := latencyInvariants(2)
+	// omp_for <-> cilk_for and omp_for <-> cpp_async parity, both ways,
+	// all p99 at the low offered point.
 	if len(invs) != 4 {
 		t.Fatalf("got %d invariants, want 4: %+v", len(invs), invs)
 	}
+	pairs := make(map[[2]string]bool)
 	for _, inv := range invs {
-		want := "p99"
-		if inv.Name == "serve-metrics-overhead" {
-			want = "p50"
-			if inv.Fast.Metrics == inv.Slow.Metrics {
-				t.Errorf("%s must pit telemetry-on against telemetry-off: %+v", inv.Name, inv)
-			}
+		if inv.Metric != "p99" || inv.Ratio != tailParityRatio {
+			t.Errorf("%s: metric %q bound %v, want p99 at %v", inv.Name, inv.Metric, inv.Ratio, tailParityRatio)
 		}
-		if inv.Metric != want {
-			t.Errorf("%s metric = %q, want %s", inv.Name, inv.Metric, want)
-		}
-		if inv.Fast.Offered != 200 || inv.Slow.Offered != 200 {
+		if inv.Fast.Offered != serveOffered || inv.Slow.Offered != serveOffered {
 			t.Errorf("%s not at the low offered point: %+v", inv.Name, inv)
 		}
-		if inv.Name == "serve-sharded-tail-overhead" && inv.MinProcs != 2 {
-			t.Errorf("%s must require shard parallelism (MinProcs 2), got %d", inv.Name, inv.MinProcs)
+		pairs[[2]string{inv.Fast.Model, inv.Slow.Model}] = true
+	}
+	for _, m := range []string{models.CilkFor, models.CPPAsync} {
+		if !pairs[[2]string{m, models.OMPFor}] || !pairs[[2]string{models.OMPFor, m}] {
+			t.Errorf("parity with %s not claimed in both directions: %v", m, pairs)
 		}
 	}
-	rs := CheckInvariants(rep, invs, Options{})
-	for _, r := range rs {
-		if r.Skipped {
-			// The sharded-tail bound legitimately skips on a box that
-			// cannot run the shards in parallel.
-			if r.MinProcs > 0 && runtime.GOMAXPROCS(0) < r.MinProcs {
-				continue
-			}
-			t.Errorf("%s skipped: %s", r.Name, r.SkipReason)
-		}
+	for _, r := range check(t, healthyReport(2), invs) {
 		if !r.Holds {
 			t.Errorf("%s violated on healthy data (ratio %v, p %v)", r.Name, r.MinRatio, r.P)
 		}
 	}
 }
 
-func TestInvariantMinProcsSkips(t *testing.T) {
-	rep := latencyReport()
-	invs := []Invariant{{
-		Name: "needs-a-datacenter", Metric: "p99", MinProcs: 1 << 20,
-		Fast: rep.Series[0].Key, Slow: rep.Series[2].Key,
-	}}
-	rs := CheckInvariants(rep, invs, Options{})
-	if len(rs) != 1 || !rs[0].Skipped || !rs[0].Holds {
-		t.Fatalf("MinProcs beyond the machine: %+v, want vacuous skip", rs)
-	}
-	if rs[0].SkipReason == "" {
-		t.Error("skip carries no reason")
-	}
-}
-
 func TestMetricInvariantCatchesTailInversion(t *testing.T) {
-	rep := latencyReport()
+	rep := healthyReport(2)
+	invs := latencyInvariants(2)
 	// Doctor cilk_for's low-load distribution: every request 10x
 	// slower — both the p99 ratio and the U test fire.
-	s := rep.Find(Key{Kernel: "sum", Model: models.CilkFor, Threads: 1,
-		Partitioner: "-", Scenario: Scenario, Offered: 200, Metrics: true})
+	s := rep.Find(invs[0].Fast)
 	for i := range s.SampleNs {
 		s.SampleNs[i] *= 10
 	}
-	rs := CheckInvariants(rep, InvariantsFor(rep.Config), Options{})
 	var violated []string
-	for _, r := range rs {
+	for _, r := range check(t, rep, invs) {
 		if !r.Holds {
 			violated = append(violated, r.Name)
 		}
@@ -120,99 +59,62 @@ func TestMetricInvariantCatchesTailInversion(t *testing.T) {
 }
 
 func TestMetricInvariantTailBlipWithoutShiftDoesNotGate(t *testing.T) {
-	rep := latencyReport()
+	rep := healthyReport(2)
+	invs := latencyInvariants(2)
 	// One outlier request 100x slower: the p99 ratio blows past the
 	// bound, but the distributions are otherwise identical, so the U
 	// test cannot reject equality — a blip is noise, not a verdict.
-	s := rep.Find(Key{Kernel: "sum", Model: models.CilkFor, Threads: 1,
-		Partitioner: "-", Scenario: Scenario, Offered: 200, Metrics: true})
+	s := rep.Find(invs[0].Fast)
 	s.SampleNs[len(s.SampleNs)-1] *= 100
-	rs := CheckInvariants(rep, InvariantsFor(rep.Config), Options{})
-	for _, r := range rs {
+	for _, r := range check(t, rep, invs) {
 		if !r.Holds {
 			t.Errorf("%s gated a single-request blip (ratio %v, p %v)", r.Name, r.MinRatio, r.P)
 		}
 	}
 }
 
-func TestMetricInvariantUnknownMetricSkips(t *testing.T) {
-	rep := latencyReport()
-	invs := []Invariant{{
-		Name: "bogus", Metric: "p12345",
-		Fast: rep.Series[0].Key, Slow: rep.Series[2].Key,
-	}}
-	rs := CheckInvariants(rep, invs, Options{})
-	if len(rs) != 1 || !rs[0].Skipped || !rs[0].Holds {
-		t.Fatalf("unknown metric: %+v, want vacuous skip", rs)
+func TestMetricInvariantUnknownMetricIsError(t *testing.T) {
+	rep := healthyReport(2)
+	inv := latencyInvariants(2)[0]
+	inv.Metric = "p12345"
+	if _, err := CheckInvariants(rep, []Invariant{inv}); err == nil || !strings.Contains(err.Error(), "unknown metric") {
+		t.Fatalf("unknown metric: err = %v, want an error", err)
 	}
 }
 
-// The latency suite itself, at a tiny scale: an in-process sweep must
-// produce exactly the keys the latency invariants expect, with the
-// scenario telemetry filled in.
+// The latency suite itself, at a tiny size: an in-process sweep must
+// produce exactly the series the latency invariants read.
 func TestRunLatencySuiteProducesInvariantKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures wall time")
 	}
-	cfg := LatencySuiteConfig{
-		Models:   []string{models.OMPFor, models.CilkFor, models.ShardedPrefix + models.CilkFor},
-		Threads:  1,
-		Offered:  []int{2000, 4000},
-		Requests: 30,
-		WorkSize: 1 << 10,
-	}
-	rep, err := RunLatencySuite(context.Background(), cfg)
+	invs := latencyInvariants(1)
+	keys := Keys(invs)
+	rep, err := RunLatencySuite(context.Background(), keys, LatencySuiteConfig{Requests: 30, WorkSize: 1 << 10})
 	if err != nil {
 		t.Fatalf("RunLatencySuite: %v", err)
 	}
-	// 3 models x 2 points, plus the telemetry-off twin of the
-	// reference model at the low point.
-	if got, want := len(rep.Series), 3*2+1; got != want {
-		t.Fatalf("series = %d, want %d", got, want)
+	if len(rep.Series) != len(keys) {
+		t.Fatalf("series = %d, want %d", len(rep.Series), len(keys))
 	}
 	for _, s := range rep.Series {
-		if s.Scenario != Scenario || s.Offered == 0 {
-			t.Errorf("series %s missing scenario tagging", s.Key)
-		}
 		if s.Goodput <= 0 {
 			t.Errorf("series %s goodput = %v, want > 0", s.Key, s.Goodput)
 		}
 		if len(s.SampleNs) == 0 {
 			t.Errorf("series %s has no latency samples", s.Key)
 		}
-		if s.Key.Metrics {
-			if len(s.Telemetry) == 0 {
-				t.Errorf("series %s measured with telemetry but carries no scraped telemetry", s.Key)
-			}
-			if s.Telemetry["requests.completed"] <= 0 {
-				t.Errorf("series %s scraped window shows no completed requests: %v", s.Key, s.Telemetry)
-			}
-		} else if s.Telemetry != nil {
-			t.Errorf("telemetry-off twin %s carries scraped metrics", s.Key)
-		}
 	}
-	rs := CheckInvariants(rep, InvariantsFor(rep.Config), Options{})
-	if len(rs) == 0 {
-		t.Fatal("no latency invariants for the suite's own config")
-	}
-	for _, r := range rs {
-		if r.Skipped && !(r.MinProcs > 0 && runtime.GOMAXPROCS(0) < r.MinProcs) {
-			t.Errorf("%s skipped: suite keys do not line up with invariant keys", r.Name)
-		}
+	if _, err := CheckInvariants(rep, invs); err != nil {
+		t.Errorf("suite keys do not line up with invariant keys: %v", err)
 	}
 }
 
 func TestRunLatencySuiteCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RunLatencySuite(ctx, LatencySuiteConfig{
-		Models: []string{models.OMPFor}, Threads: 1,
-		Offered: []int{1000}, Requests: 10, WorkSize: 1 << 10,
-	})
-	if err == nil {
-		t.Fatal("canceled sweep returned nil error")
-	}
-	if rep == nil {
-		t.Fatal("canceled sweep must still return the partial report")
+	keys := Keys(latencyInvariants(1))
+	if _, err := RunLatencySuite(ctx, keys, LatencySuiteConfig{Requests: 10, WorkSize: 1 << 10}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep: err = %v, want Canceled", err)
 	}
 }

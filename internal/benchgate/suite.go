@@ -3,276 +3,133 @@ package benchgate
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"strings"
+	"time"
 
 	"threading/internal/harness"
 	"threading/internal/models"
 	"threading/internal/worksteal"
 )
 
-// kernelFigs maps suite kernel names to the registered harness
-// experiments whose workloads they reuse, so the gate measures
-// exactly what the paper's figures measure.
+// kernelFigs maps the kernels the invariants read to the registered
+// harness experiments whose workloads they reuse, so the gate
+// measures exactly what the paper's figures measure.
 var kernelFigs = map[string]string{
-	"axpy":   "fig1",
-	"sum":    "fig2",
-	"matvec": "fig3",
-	"matmul": "fig4",
-	"fib":    "fig5",
+	"axpy": "fig1",
+	"sum":  "fig2",
+	"fib":  "fig5",
 }
 
-// DefaultKernels is the default suite: the flat data-parallel loops
-// whose ordering the paper's headline claims (and the gated
-// invariants) are about, plus matvec for a higher-intensity point.
-func DefaultKernels() []string { return []string{"axpy", "sum", "matvec"} }
-
-// SuiteConfig selects what RunSuite measures.
+// SuiteConfig sizes RunSuite.
 type SuiteConfig struct {
-	// Kernels to measure; empty selects DefaultKernels.
-	Kernels []string
-	// Threads is the pool size; 0 selects GOMAXPROCS.
-	Threads int
 	// Reps is the number of timed repetitions per series; 0 selects 7
 	// (odd, and large enough for the exact U distribution to resolve
 	// p < 0.05).
 	Reps int
-	// Grain is the distribution-stressing grain for the work-stealing
-	// series; 0 selects 64.
-	Grain int
 	// Scale is the workload scale factor; 0 selects 0.1 (the gate
 	// favors many cheap repetitions over one large run).
 	Scale float64
-	// Shards, when non-zero, adds a sharded work-stealing series per
-	// kernel (sharded:cilk_for at the stress grain) split across this
-	// many shards; negative selects GOMAXPROCS. The sharding-overhead
-	// invariant is defined over this series.
-	Shards int
-	// Balancer routes the sharded series; empty selects least-loaded,
-	// the balancer the overhead bound is claimed for.
-	Balancer string
-	// Pinned, when true, adds a pinned-worker twin of the stress-grain
-	// eager work-stealing series per loop kernel (workers locked to OS
-	// threads). The pinning-overhead invariant is defined over these
-	// twins.
-	Pinned bool
 }
 
 func (c SuiteConfig) withDefaults() SuiteConfig {
-	if len(c.Kernels) == 0 {
-		c.Kernels = DefaultKernels()
-	}
-	if c.Threads <= 0 {
-		c.Threads = runtime.GOMAXPROCS(0)
-	}
 	if c.Reps <= 0 {
 		c.Reps = 7
-	}
-	if c.Grain <= 0 {
-		c.Grain = 64
 	}
 	if c.Scale <= 0 {
 		c.Scale = 0.1
 	}
-	if c.Shards < 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards != 0 && c.Balancer == "" {
-		c.Balancer = "least-loaded"
-	}
 	return c
 }
 
-// RunConfig returns the schema record of this configuration.
-func (c SuiteConfig) RunConfig() RunConfig {
-	c = c.withDefaults()
-	return RunConfig{
-		Threads:  c.Threads,
-		Grain:    c.Grain,
-		Scale:    c.Scale,
-		Reps:     c.Reps,
-		Kernels:  c.Kernels,
-		Shards:   c.Shards,
-		Balancer: c.Balancer,
-		Pinned:   c.Pinned,
-	}
-}
-
-// seriesSpec is one measured configuration of a kernel.
-type seriesSpec struct {
-	model       string
-	grain       int
-	partitioner worksteal.Partitioner
-	shards      int
-	balancer    string
-	pinned      bool
-}
-
-// specs returns the per-kernel series for the loop kernels: the
-// work-sharing reference plus the work-stealing model under
-// {stress, default} grain x {eager, lazy} — the grid the invariants
-// and the loop-distribution trajectory are defined over — plus, when
-// sharding is configured, the sharded work-stealing runtime at stress
-// grain (the series the sharding-overhead invariant compares against
-// its single-pool twin), and, when pinning is configured, a
-// pinned-worker twin of the stress-grain eager series (the
-// pinning-overhead invariant's subject).
-func specs(stressGrain, shards int, balancer string, pinned bool) []seriesSpec {
-	out := []seriesSpec{
-		{model: models.OMPFor, grain: 0, partitioner: worksteal.Eager},
-		{model: models.CilkFor, grain: stressGrain, partitioner: worksteal.Eager},
-		{model: models.CilkFor, grain: stressGrain, partitioner: worksteal.Lazy},
-		{model: models.CilkFor, grain: 0, partitioner: worksteal.Eager},
-		{model: models.CilkFor, grain: 0, partitioner: worksteal.Lazy},
-	}
-	if shards != 0 {
-		out = append(out, seriesSpec{
-			model: models.ShardedPrefix + models.CilkFor, grain: stressGrain,
-			partitioner: worksteal.Eager, shards: shards, balancer: balancer,
-		})
-	}
-	if pinned {
-		out = append(out, seriesSpec{
-			model: models.CilkFor, grain: stressGrain,
-			partitioner: worksteal.Eager, pinned: true,
-		})
-	}
-	return out
-}
-
-// taskSpecs returns the per-kernel series for the task kernels (fib):
-// the spawn-heavy pair the paper's Fig. 5 invariant is defined over —
-// cilk_spawn over lock-free Chase-Lev deques versus omp task over the
-// team's locked deques. Grain and partitioner do not shape these
-// series (recursion spawns directly), so they record zero values.
-func taskSpecs() []seriesSpec {
-	return []seriesSpec{
-		{model: models.OMPTask, grain: 0, partitioner: worksteal.Eager},
-		{model: models.CilkSpawn, grain: 0, partitioner: worksteal.Eager},
-	}
-}
-
-// taskKernel reports whether the named kernel is measured through the
-// task models rather than the loop grid.
-func taskKernel(kernel string) bool { return kernel == "fib" }
-
-// RunSuite measures the configured kernels and returns a report in
-// the shared schema. Each series runs through harness.RunCtx against
-// the registered figure workload, with the raw repetition samples
-// exported via the harness sample hook; ctx cancels the sweep at the
-// next measurement boundary.
-func RunSuite(ctx context.Context, cfg SuiteConfig) (*Report, error) {
+// RunSuite measures the given kernel series and returns their
+// repetition timings. Each kernel's figure workload is prepared once
+// and shared by its series; every series gets its own model, built
+// from its key. After one untimed warm-up per series, the reps run
+// round-robin — rep r of every series before rep r+1 of any — so
+// machine drift lands on every series alike instead of on whichever
+// was measured last. ctx cancels the run at the next repetition
+// boundary.
+func RunSuite(ctx context.Context, keys []Key, cfg SuiteConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
-	rep := New("cmd/benchgate", cfg.RunConfig())
-	for _, kernel := range cfg.Kernels {
-		figID, ok := kernelFigs[kernel]
-		if !ok {
-			return nil, fmt.Errorf("benchgate: unknown kernel %q (have axpy, sum, matvec, matmul, fib)", kernel)
+	workloads := make(map[string]*harness.Workload)
+	runs := make([]func(), 0, len(keys))
+	for _, k := range keys {
+		w, err := workload(k.Kernel, cfg.Scale, workloads)
+		if err != nil {
+			return nil, err
 		}
-		base, ok := harness.ByID(figID)
-		if !ok {
-			return nil, fmt.Errorf("benchgate: experiment %s not registered", figID)
+		m, err := newModel(k)
+		if err != nil {
+			return nil, err
 		}
-		kernelSpecs := specs(cfg.Grain, cfg.Shards, cfg.Balancer, cfg.Pinned)
-		if taskKernel(kernel) {
-			kernelSpecs = taskSpecs()
+		defer m.Close()
+		runs = append(runs, func() { w.Run(m) })
+	}
+	samples, err := interleave(ctx, runs, cfg.Reps)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{}
+	for i, k := range keys {
+		rep.Add(Series{Key: k, SampleNs: samples[i]})
+	}
+	return rep, nil
+}
+
+// workload returns the kernel's prepared figure workload, preparing
+// it on first use.
+func workload(kernel string, scale float64, prepared map[string]*harness.Workload) (*harness.Workload, error) {
+	if w, ok := prepared[kernel]; ok {
+		return w, nil
+	}
+	figID, ok := kernelFigs[kernel]
+	if !ok {
+		return nil, fmt.Errorf("benchgate: unknown kernel %q (have axpy, sum, fib)", kernel)
+	}
+	e, ok := harness.ByID(figID)
+	if !ok {
+		return nil, fmt.Errorf("benchgate: experiment %s not registered", figID)
+	}
+	w := e.Prepare(scale)
+	prepared[kernel] = w
+	return w, nil
+}
+
+// newModel builds the model a kernel key names.
+func newModel(k Key) (models.Model, error) {
+	part := k.Partitioner
+	if part == "-" {
+		part = ""
+	}
+	p, err := worksteal.ParsePartitioner(part)
+	if err != nil {
+		return nil, err
+	}
+	return models.New(k.Model, k.Threads,
+		models.WithPartitioner(p), models.WithGrain(k.Grain),
+		models.WithShardCount(k.Shards), models.WithShardBalancer(k.Balancer),
+		models.WithPinnedWorkers(k.Pinned))
+}
+
+// interleave runs every function once untimed, then reps rounds in
+// which each runs once, in order, timed; it returns each function's
+// timings in nanoseconds.
+func interleave(ctx context.Context, runs []func(), reps int) ([][]int64, error) {
+	for _, run := range runs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		for _, sp := range kernelSpecs {
-			exp := &harness.Experiment{
-				ID:      kernel,
-				Title:   base.Title,
-				Finding: base.Finding,
-				Models:  []string{sp.model},
-				Prepare: base.Prepare,
-			}
-			res, err := harness.RunCtx(ctx, exp, harness.Config{
-				Threads:     []int{cfg.Threads},
-				Reps:        cfg.Reps,
-				Scale:       cfg.Scale,
-				Grain:       sp.grain,
-				Partitioner: sp.partitioner,
-				Shards:      sp.shards,
-				Balancer:    sp.balancer,
-				Pinned:      sp.pinned,
-				KeepSamples: true,
-			})
-			if err != nil {
+		run()
+	}
+	out := make([][]int64, len(runs))
+	for r := 0; r < reps; r++ {
+		for i, run := range runs {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			samples := res.RawSamples[sp.model][cfg.Threads]
-			ns := make([]int64, len(samples))
-			for i, d := range samples {
-				ns[i] = d.Nanoseconds()
-			}
-			rep.Add(Series{
-				Key: Key{
-					Kernel:      kernel,
-					Model:       sp.model,
-					Threads:     cfg.Threads,
-					Grain:       sp.grain,
-					Partitioner: partitionerName(sp.model, sp.partitioner),
-					Shards:      sp.shards,
-					Balancer:    sp.balancer,
-					Pinned:      sp.pinned,
-				},
-				SampleNs: ns,
-			})
+			start := time.Now()
+			run()
+			out[i] = append(out[i], time.Since(start).Nanoseconds())
 		}
 	}
-	return rep, rep.Validate()
-}
-
-// FromResults converts harness results collected with
-// Config.KeepSamples into a schema report — the export path
-// cmd/threadbench uses so a smoke run doubles as a compare-able
-// artifact. The kernel name of each series is the experiment ID
-// (fig1..fig10). Keys carry the full measured configuration the
-// harness echoes (grain, sharding, pinning) — omitting them would
-// collide a sharded smoke run's series with its unsharded twin.
-func FromResults(results []*harness.Result, tool string, reps int, scale float64) *Report {
-	rep := New(tool, RunConfig{Scale: scale, Reps: reps})
-	for _, r := range results {
-		for _, m := range r.Models {
-			shards, balancer := 0, ""
-			if strings.HasPrefix(m, models.ShardedPrefix) {
-				shards, balancer = r.Shards, r.Balancer
-			}
-			for _, t := range r.Threads {
-				samples, ok := r.RawSamples[m][t]
-				if !ok {
-					continue
-				}
-				ns := make([]int64, len(samples))
-				for i, d := range samples {
-					ns[i] = d.Nanoseconds()
-				}
-				rep.Add(Series{
-					Key: Key{
-						Kernel:      r.Experiment.ID,
-						Model:       m,
-						Threads:     t,
-						Grain:       r.Grain,
-						Partitioner: partitionerName(m, r.Partitioner),
-						Shards:      shards,
-						Balancer:    balancer,
-						Pinned:      r.Pinned,
-					},
-					SampleNs: ns,
-				})
-			}
-		}
-	}
-	return rep
-}
-
-// partitionerName is the schema spelling of the partitioner for a
-// model: the partitioner's name for the work-stealing models (sharded
-// or not — pool shards inherit the partitioner), "-" for models the
-// option does not apply to.
-func partitionerName(model string, p worksteal.Partitioner) string {
-	model = strings.TrimPrefix(model, models.ShardedPrefix)
-	if model == models.CilkFor || model == models.CilkSpawn {
-		return p.String()
-	}
-	return "-"
+	return out, nil
 }

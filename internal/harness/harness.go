@@ -76,11 +76,6 @@ type Config struct {
 	// default heuristic (see models.WithGrain). The benchmark gate
 	// uses it to measure the distribution-stressing regime.
 	Grain int
-	// KeepSamples retains every raw repetition timing in
-	// Result.RawSamples — the sample-export hook the statistical
-	// regression gate (internal/benchgate) is built on. Off by
-	// default: a full sweep holds models x threads x reps durations.
-	KeepSamples bool
 	// Tracer, when non-nil, is attached to every model the sweep
 	// constructs, so each cell's runtime records scheduler events into
 	// it. The rings wrap around, so the capture covers the tail of the
@@ -145,12 +140,7 @@ type Result struct {
 	// (Config.Shards resolved against GOMAXPROCS; zero when unsharded).
 	Shards   int
 	Balancer string
-	// Pinned and Grain echo the remaining model-shaping knobs of the
-	// run, so exporters (benchgate.FromResults) can key samples by the
-	// full measured configuration rather than assuming defaults.
-	Pinned bool
-	Grain  int
-	Cells  map[string]map[int]stats.Sample
+	Cells    map[string]map[int]stats.Sample
 	// Sched holds per-cell scheduler counters, present only when the
 	// run was configured with Stats and the model's runtime collects
 	// them.
@@ -159,10 +149,6 @@ type Result struct {
 	// model ran sharded (models.Resolver), present only when the
 	// run was configured with Stats. The merged totals remain in Sched.
 	ShardSched map[string]map[int][]shard.Stat
-	// RawSamples holds every timed repetition per cell, in
-	// measurement order, present only when the run was configured
-	// with KeepSamples.
-	RawSamples map[string]map[int][]time.Duration
 	// TraceDropped holds the per-cell count of scheduler events the
 	// tracer's rings overwrote during the timed reps (a wraparound
 	// warning: the captured window is incomplete). Present only when
@@ -209,16 +195,11 @@ func RunCtx(ctx context.Context, e *Experiment, cfg Config) (*Result, error) {
 		Partitioner: cfg.Partitioner,
 		Shards:      shards,
 		Balancer:    cfg.Balancer,
-		Pinned:      cfg.Pinned,
-		Grain:       cfg.Grain,
 		Cells:       make(map[string]map[int]stats.Sample),
 	}
 	if cfg.Stats {
 		res.Sched = make(map[string]map[int]sched.Snapshot)
 		res.ShardSched = make(map[string]map[int][]shard.Stat)
-	}
-	if cfg.KeepSamples {
-		res.RawSamples = make(map[string]map[int][]time.Duration)
 	}
 	if cfg.Tracer != nil {
 		res.TraceDropped = make(map[string]map[int]int64)
@@ -280,12 +261,6 @@ func RunCtx(ctx context.Context, e *Experiment, cfg Config) (*Result, error) {
 					}
 					res.ShardSched[name][threads] = deltaShardStats(shardBase, resolver.ShardStats())
 				}
-			}
-			if cfg.KeepSamples {
-				if res.RawSamples[name] == nil {
-					res.RawSamples[name] = make(map[int][]time.Duration)
-				}
-				res.RawSamples[name][threads] = ts
 			}
 			if cfg.Tracer != nil {
 				if res.TraceDropped[name] == nil {

@@ -104,44 +104,6 @@ func TestRunProducesFullGrid(t *testing.T) {
 	}
 }
 
-// The sample-export hook the benchmark gate is built on: with
-// KeepSamples the raw per-repetition timings survive summarization,
-// one per rep, consistent with the summarized cell; without it the
-// result stays lean.
-func TestKeepSamplesExportsRawTimings(t *testing.T) {
-	e, _ := ByID("fig2")
-	res, err := Run(e, Config{Threads: []int{2}, Reps: 3, Scale: 0.003, KeepSamples: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range e.Models {
-		ts, ok := res.RawSamples[m][2]
-		if !ok || len(ts) != 3 {
-			t.Fatalf("RawSamples[%s][2] = %v, want 3 samples", m, ts)
-		}
-		min := ts[0]
-		for _, d := range ts {
-			if d <= 0 {
-				t.Fatalf("%s: non-positive sample %v", m, d)
-			}
-			if d < min {
-				min = d
-			}
-		}
-		if got := res.Cells[m][2].Min; got != min {
-			t.Errorf("%s: summarized min %v != min of raw samples %v", m, got, min)
-		}
-	}
-
-	res, err = Run(e, Config{Threads: []int{1}, Reps: 1, Scale: 0.003})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RawSamples != nil {
-		t.Error("RawSamples allocated without KeepSamples")
-	}
-}
-
 // Config.Grain reaches the cilk_for decomposition: at a tiny fixed
 // grain the eager partitioner must create far more tasks than the
 // default heuristic.

@@ -8,68 +8,32 @@
 // system under test stalls (coordinated omission), while an open loop
 // keeps offering work and measures the queueing the stall caused.
 //
-// The generator drives a Target: either a live HTTP endpoint or an
-// in-process http.Handler (no sockets), which is how CI and the
-// benchgate latency suite boot threadserve without a port.
+// Latency is measured from each arrival's due instant on the
+// schedule, not from the moment its request started: when the target
+// (or the generator itself) stalls, the arrivals that fell due during
+// the stall are charged the time they waited to be issued.
+//
+// The generator drives an http.Handler in process — request and
+// response never touch a socket, so the measured latency is admission
+// + scheduling + kernel execution.
 package loadgen
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"sync"
+	"syscall"
 	"time"
 )
 
-// Target issues one request and reports its HTTP status.
-type Target interface {
-	Do(ctx context.Context, path string) (status int, err error)
-}
-
-// HandlerTarget drives an http.Handler in process — request and
-// response never touch a socket, so the measured latency is admission
-// + scheduling + kernel execution.
-type HandlerTarget struct {
-	Handler http.Handler
-}
-
-func (t HandlerTarget) Do(ctx context.Context, path string) (int, error) {
-	req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	t.Handler.ServeHTTP(rec, req)
-	return rec.Code, nil
-}
-
-// HTTPTarget drives a live endpoint, e.g. "http://127.0.0.1:8080".
-type HTTPTarget struct {
-	Base   string
-	Client *http.Client
-}
-
-func (t HTTPTarget) Do(ctx context.Context, path string) (int, error) {
-	client := t.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.Base+path, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
-}
-
 // Config is one measurement point.
 type Config struct {
-	Target Target
+	Handler http.Handler
 	// Path is the request path, e.g. "/run?kernel=sum".
 	Path string
 	// Offered is the arrival rate in requests per second.
@@ -95,8 +59,8 @@ type Result struct {
 	Timeouts  int
 	Errors    int
 	LatencyNs []int64
-	// Elapsed spans the measured window (first post-warmup arrival to
-	// last completion).
+	// Elapsed spans the measured window (due instant of the first
+	// post-warmup arrival to last completion).
 	Elapsed time.Duration
 	// Interrupted reports that ctx canceled the run; counts and
 	// latencies cover what completed — a partial but valid point.
@@ -136,82 +100,155 @@ func expInterval(state *uint64, rate float64) time.Duration {
 	return time.Duration(-math.Log(1-u) / rate * float64(time.Second))
 }
 
-// Run generates cfg.Requests arrivals against the target and blocks
-// until every issued request has completed. The schedule is absolute
-// (each arrival time is the sum of exponential gaps from the start),
-// so a slow target cannot push later arrivals back — the open-loop
-// property. Canceling ctx stops new arrivals, lets the in-flight
-// requests finish (their own deadlines bound the wait), and returns
-// the partial Result with Interrupted set and ctx's error.
-func Run(ctx context.Context, cfg Config) (Result, error) {
-	if cfg.Target == nil || cfg.Offered <= 0 || cfg.Requests <= 0 {
-		return Result{}, fmt.Errorf("loadgen: config needs a target, offered > 0, requests > 0 (got %+v)", cfg)
-	}
-	res := Result{Offered: cfg.Offered}
-	var (
-		mu    sync.Mutex
-		wg    sync.WaitGroup
-		state = cfg.Seed
-	)
-	start := time.Now()
-	next := start
-	measureStart := start
-	var lastDone time.Time
+// spinLead is how far before a due instant the dispatcher stops
+// sleeping and starts yielding. A timer or time.Sleep is no use here:
+// an otherwise idle Go process sleeps in epoll_wait, whose timeout is
+// in whole milliseconds, so it overshoots by 0.6-1.1 ms — several
+// times the cost of a small request. nanosleep(2) overshoots by
+// 0.06-0.2 ms (timer slack plus wake-up), so the dispatcher sleeps
+// there until spinLead before the due instant and yields the rest of
+// the way. The yield window is kept short because a goroutine that is
+// always runnable keeps its P from ever stealing: it would serialise
+// the very requests being measured.
+const spinLead = 200 * time.Microsecond
 
-	for i := 0; i < cfg.Requests; i++ {
-		next = next.Add(expInterval(&state, cfg.Offered))
-		if d := time.Until(next); d > 0 {
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				res.Interrupted = true
-			}
-		} else if ctx.Err() != nil {
-			res.Interrupted = true
+// waitUntil blocks until due, or until ctx is done, in which case it
+// reports false. Cancellation is observed between sleeps, so within
+// one inter-arrival gap.
+func waitUntil(ctx context.Context, due time.Time) bool {
+	for {
+		if ctx.Err() != nil {
+			return false
 		}
-		if res.Interrupted {
+		wait := time.Until(due)
+		switch {
+		case wait <= 0:
+			return true
+		case wait > spinLead:
+			ts := syscall.NsecToTimespec(int64(wait - spinLead))
+			_ = syscall.Nanosleep(&ts, nil) // an early return (EINTR) is handled by the loop
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
+// arrival is one scheduled request: the point it belongs to, its
+// index within that point, and its due offset from the start.
+type arrival struct {
+	point, seq int
+	due        time.Duration
+}
+
+// schedule merges the points' Poisson schedules into one timeline.
+// Each point's schedule is absolute — every due offset is the sum of
+// exponential gaps from the start — so a slow target cannot push later
+// arrivals back: the open-loop property.
+func schedule(points []Config) []arrival {
+	var out []arrival
+	for p, cfg := range points {
+		state := cfg.Seed
+		var due time.Duration
+		for i := 0; i < cfg.Requests; i++ {
+			due += expInterval(&state, cfg.Offered)
+			out = append(out, arrival{point: p, seq: i, due: due})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].due < out[j].due })
+	return out
+}
+
+// Run drives one or more points over the same wall-clock window and
+// blocks until every issued request has completed; it returns one
+// Result per point, in order. Each latency runs from the arrival's
+// due instant to its completion.
+//
+// A single dispatcher issues every point's arrivals. That matters for
+// concurrent points: the dispatcher sleeps in nanosleep(2), and a
+// goroutine in a system call keeps its P until the runtime's monitor
+// retakes it, which can take up to 10 ms — one dispatcher per point
+// would leave a two-P machine with no P to run the requests on.
+//
+// Canceling ctx stops new arrivals, lets the in-flight requests finish
+// (their own deadlines bound the wait), and returns the partial
+// Results with Interrupted set and ctx's error.
+func Run(ctx context.Context, points ...Config) ([]Result, error) {
+	if len(points) == 0 {
+		return nil, fmt.Errorf("loadgen: no points to run")
+	}
+	for _, cfg := range points {
+		if cfg.Handler == nil || cfg.Offered <= 0 || cfg.Requests <= 0 {
+			return nil, fmt.Errorf("loadgen: config needs a handler, offered > 0, requests > 0 (got %+v)", cfg)
+		}
+	}
+	res := make([]Result, len(points))
+	// window spans each point's measured arrivals: the due instant of
+	// the first post-warmup arrival to the last completion.
+	window := make([]struct{ start, last time.Time }, len(points))
+	var (
+		mu          sync.Mutex
+		wg          sync.WaitGroup
+		interrupted bool
+	)
+	begin := time.Now()
+	for p := range points {
+		res[p].Offered = points[p].Offered
+		window[p].start = begin
+	}
+
+	for _, a := range schedule(points) {
+		due := begin.Add(a.due)
+		if !waitUntil(ctx, due) {
+			interrupted = true
 			break
 		}
-		if i == cfg.Warmup {
-			measureStart = time.Now()
+		cfg, r, w := points[a.point], &res[a.point], &window[a.point]
+		if a.seq == cfg.Warmup {
+			w.start = due
 		}
-		res.Sent++
-		measured := i >= cfg.Warmup
+		r.Sent++
+		measured := a.seq >= cfg.Warmup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t0 := time.Now()
-			status, err := cfg.Target.Do(ctx, cfg.Path)
-			lat := time.Since(t0)
+			req := httptest.NewRequest(http.MethodGet, cfg.Path, nil).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			cfg.Handler.ServeHTTP(rec, req)
+			done := time.Now()
 			if !measured {
 				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			lastDone = time.Now()
-			switch {
-			case err != nil:
-				res.Errors++
-			case status == http.StatusOK:
-				res.OK++
-				res.LatencyNs = append(res.LatencyNs, lat.Nanoseconds())
-			case status == http.StatusTooManyRequests:
-				res.Shed++
-			case status == http.StatusGatewayTimeout:
-				res.Timeouts++
+			if done.After(w.last) {
+				w.last = done
+			}
+			switch rec.Code {
+			case http.StatusOK:
+				r.OK++
+				r.LatencyNs = append(r.LatencyNs, done.Sub(due).Nanoseconds())
+			case http.StatusTooManyRequests:
+				r.Shed++
+			case http.StatusGatewayTimeout:
+				r.Timeouts++
 			default:
-				res.Errors++
+				r.Errors++
 			}
 		}()
+		// Let the request start now, on this P, rather than sit in its
+		// run queue while the dispatcher sleeps in nanosleep.
+		runtime.Gosched()
 	}
 	wg.Wait()
-	if lastDone.IsZero() {
-		lastDone = time.Now()
+	end := time.Now()
+	for p := range res {
+		if window[p].last.IsZero() {
+			window[p].last = end
+		}
+		res[p].Elapsed = window[p].last.Sub(window[p].start)
+		res[p].Interrupted = interrupted
 	}
-	res.Elapsed = lastDone.Sub(measureStart)
-	if res.Interrupted {
+	if interrupted {
 		return res, context.Cause(ctx)
 	}
 	return res, nil

@@ -89,8 +89,8 @@ func writeHistogram(w io.Writer, name, suffix string, h *Histogram) error {
 
 // Gather flattens the registry into name{labels} -> value. Counters
 // and gauges contribute one entry; histograms contribute _count,
-// _sum, and quantile-bound entries (_p50, _p90, _p99), which is the
-// form cmd/loadsweep and benchgate consume between load points.
+// _sum, and quantile-bound entries (_p50, _p90, _p99) — the flat view
+// ?format=json serves and in-process harnesses scrape.
 func (r *Registry) Gather() map[string]float64 {
 	out := make(map[string]float64)
 	for _, f := range r.snapshot() {

@@ -12,7 +12,8 @@
 // a fork-join team serializes them through its execution lock
 // (arrival bursts become queueing delay), and a sharded resolver
 // routes them across pools. Those differences are what the open-loop
-// load sweep (internal/loadgen, cmd/loadsweep) measures.
+// load generator (internal/loadgen) measures, in the performance
+// gate's service series (internal/benchgate).
 //
 // Service semantics, in order of application:
 //
@@ -82,9 +83,9 @@ type Config struct {
 	// counter rates, and a stall watchdog. When Metrics is set and
 	// Tracer is nil the server creates a small internal tracer, since
 	// utilization and request correlation are tracez-derived — that
-	// ring recording is part of the overhead the benchgate
-	// metrics-overhead invariant bounds. Off by default; a disabled
-	// server behaves exactly as before this layer existed.
+	// ring recording is part of the overhead the benchmark of record
+	// reports as serve.metrics_overhead_ratio. Off by default; a
+	// disabled server behaves exactly as before this layer existed.
 	Metrics bool
 	// MetricsInterval is the poller and watchdog observation period;
 	// 0 selects metrics.DefaultInterval.
@@ -190,8 +191,8 @@ func (s *Server) Model() string { return s.cfg.Model }
 
 // Registry returns the server's telemetry registry — what /metrics
 // exposes — or nil when the server was built without Config.Metrics.
-// In-process harnesses (benchgate's latency suite) scrape it directly
-// instead of going through the HTTP exposition.
+// In-process harnesses scrape it directly instead of going through the
+// HTTP exposition.
 func (s *Server) Registry() *metrics.Registry { return s.registry }
 
 // Close quiesces and releases the runtime. The server must not serve
