@@ -13,12 +13,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-detect just the scheduler hot paths (work stealing, deques,
-# shared sched plumbing, the futures join paths the help-first work
-# leans on, and the shard resolver's routing/drain machinery) — the
-# focused loop for partitioner and balancer work.
+# Race-detect just the scheduler hot paths (work stealing, the
+# fork-join team's region-end park/wake handshake, deques, shared
+# sched plumbing, the futures join paths the help-first work leans on,
+# and the shard resolver's routing/drain machinery) — the focused loop
+# for partitioner, balancer and idle-wait work.
 race-sched:
-	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/...
+	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/forkjoin/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/...
 
 vet:
 	$(GO) vet ./...

@@ -216,9 +216,11 @@ type task struct {
 
 // Task creates an explicit task — the OpenMP "task" construct. Under
 // the default deferred policy the task is pushed on this member's
-// deque and runs at a scheduling point (Taskwait, Barrier with help,
-// region end) on whichever member claims it; under TaskImmediate it
-// runs inline. The body receives the Ctx of the executing member.
+// deque and runs at a task scheduling point — a Taskwait, or the
+// region end, where members wait for the others' bodies and tasks —
+// on whichever member claims it; an explicit Barrier does not run
+// tasks. Under TaskImmediate it runs inline. The body receives the
+// Ctx of the executing member.
 func (tc *Ctx) Task(fn func(*Ctx)) {
 	t := tc.m.team
 	tc.m.st.CountSpawn()
@@ -233,7 +235,7 @@ func (tc *Ctx) Task(fn func(*Ctx)) {
 		tc.m.execute(tc, tk)
 		return
 	}
-	tc.m.dq.PushBottom(tk)
+	tc.m.push(tk)
 }
 
 // Taskwait blocks until every child task created by the current task
@@ -251,7 +253,7 @@ func (tc *Ctx) Taskwait() {
 			continue
 		}
 		idle++
-		if idle >= m.team.opts.SpinBeforeYield {
+		if idle >= defaultDrainSpin {
 			runtime.Gosched()
 			idle = 0
 		}

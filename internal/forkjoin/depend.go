@@ -142,7 +142,7 @@ func (dt *depTask) enqueue(m *member) {
 			s.enqueue(tc.m)
 		}
 	}
-	m.dq.PushBottom(tk)
+	m.push(tk)
 }
 
 // depDomain lazily creates the dependency table attached to a task

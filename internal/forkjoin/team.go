@@ -34,8 +34,8 @@ type TaskPolicy int
 
 const (
 	// TaskDeferred queues tasks on the creating member's deque, to be
-	// executed at scheduling points (taskwait, barriers, region end)
-	// or stolen by idle members. This models breadth-first task
+	// executed at scheduling points (taskwait, region end) or stolen by
+	// members waiting at one. This models breadth-first task
 	// creation as in the Intel OpenMP runtime.
 	TaskDeferred TaskPolicy = iota
 	// TaskImmediate executes the task body inline at the creation
@@ -55,9 +55,6 @@ type config struct {
 	// CentralBarrier replaces the default sense-reversing barrier
 	// with the lock-based central barrier (ablation).
 	CentralBarrier bool
-	// SpinBeforeYield is how many find-work failures a draining member
-	// tolerates before yielding the processor. Zero selects a default.
-	SpinBeforeYield int
 	// DefaultSchedule is the work-sharing schedule used by callers
 	// that ask the team for its default (Team.DefaultSchedule). The
 	// zero value is the static schedule.
@@ -96,12 +93,6 @@ func WithTaskPolicy(p TaskPolicy) Option {
 // WithCentralBarrier selects the lock-based central barrier.
 func WithCentralBarrier() Option {
 	return teamOption(func(o *config) { o.CentralBarrier = true })
-}
-
-// WithSpinBeforeYield sets how many find-work failures a draining
-// member tolerates before yielding the processor.
-func WithSpinBeforeYield(n int) Option {
-	return teamOption(func(o *config) { o.SpinBeforeYield = n })
 }
 
 // WithSchedule sets the team's default work-sharing schedule.
@@ -159,9 +150,13 @@ type Team struct {
 	// members create and finish it; padded onto its own cache line so
 	// that per-task traffic doesn't false-share with the locks and
 	// flags above (closed and inRegion are read on every region entry).
+	// sleepers shares the line: every push reads it right after its
+	// creator's outstanding increment, and it is written only by
+	// members parking at the region-end gate.
 	_           [sched.CacheLine]byte
 	outstanding atomic.Int64 // live explicit tasks
-	_           [sched.CacheLine - 8]byte
+	sleepers    atomic.Int32 // members parked (or parking) at the region-end gate
+	_           [sched.CacheLine - 12]byte
 
 	wg sync.WaitGroup
 }
@@ -184,19 +179,31 @@ type member struct {
 	// to the team-wide list. Owner-only, like dq's bottom end.
 	free  *task
 	nfree int
+
+	// parker and parked are written by other members (wake's CAS,
+	// Parker.Unpark), so they sit past a pad instead of false-sharing
+	// with the owner's per-task deque and arena accesses above.
+	_      [sched.CacheLine]byte
+	parker sched.Parker
+	parked atomic.Bool
 }
 
 // region is the shared state of one parallel region: the body, the
-// cancellation/failure state, and the lazily created descriptors for
-// each work-sharing construct in it.
+// cancellation/failure state, the region-end gate's arrival count, and
+// the lazily created descriptors for each work-sharing construct in it.
 type region struct {
 	fn      func(*Ctx)
 	reg     *sched.Region
+	arrived atomic.Int64 // members whose body has returned
 	mu      sync.Mutex
 	loops   map[int]*loopDesc
 	singles map[int]*singleDesc
 }
 
+// defaultDrainSpin bounds the waiting at task scheduling points:
+// Taskwait polls for this many failed find-work rounds between
+// yields, and the region-end gate yields for this many rounds with no
+// task live before it parks.
 const defaultDrainSpin = 64
 
 // NewTeam creates a team of n members (including the master). n must
@@ -208,9 +215,6 @@ func NewTeam(n int, options ...Option) *Team {
 	var opts config
 	for _, o := range options {
 		o.applyTeam(&opts)
-	}
-	if opts.SpinBeforeYield <= 0 {
-		opts.SpinBeforeYield = defaultDrainSpin
 	}
 	t := &Team{n: n, opts: opts, stats: sched.NewStats(n)}
 	if opts.CentralBarrier {
@@ -462,12 +466,16 @@ func (m *member) runRegion(r *region) {
 		}()
 		r.fn(tc)
 	}()
-	// Region end: help until every explicit task in the region has
-	// finished, then join the implicit barrier. Hand the hoard beyond a
+	// Region end: help until every member has arrived and every
+	// explicit task in the region has finished, then join the implicit
+	// barrier. The gate alone is a full rendezvous, but the barrier
+	// keeps a member that is still polling this region's gate from
+	// stealing a task of the next region (outstanding is team-wide)
+	// and running it under this region's Ctx. Hand the hoard beyond a
 	// one-refill stash back to the team list on the way out, so records
 	// drained here flow back to whichever member spawns in the next
 	// region instead of waiting for the maxFreeTasks cap.
-	m.drainAllTasks(tc)
+	m.awaitRegionEnd(tc, r)
 	for m.nfree > freeTransfer {
 		m.spill()
 	}
@@ -482,21 +490,96 @@ func (m *member) runRegion(r *region) {
 	m.reg = nil
 }
 
-// drainAllTasks executes or waits out every outstanding explicit task
-// in the team.
-func (m *member) drainAllTasks(tc *Ctx) {
+// awaitRegionEnd is the task scheduling point at the end of a region,
+// as OpenMP makes the implicit barrier there: the member executes the
+// team's explicit tasks until every member's body has returned and no
+// task is live. A member whose body returns before another member has
+// spawned — member 1 under a Master that builds a whole task tree —
+// must still be there to take those tasks, so it waits here rather
+// than in the barrier. While tasks are live it keeps looking for one,
+// yielding after each miss; while none is live and a body is still
+// running it yields for defaultDrainSpin rounds, then parks until a
+// push or the last arrival wakes it.
+func (m *member) awaitRegionEnd(tc *Ctx, r *region) {
+	t := m.team
+	n := int64(t.n)
+	if r.arrived.Add(1) == n && t.sleepers.Load() > 0 {
+		t.wake(true)
+	}
 	idle := 0
-	for m.team.outstanding.Load() > 0 {
-		if tk := m.findTask(); tk != nil {
+	for {
+		// The gate is checked before findTask, so a region without
+		// tasks takes no deque lock and counts no failed steal here.
+		if t.outstanding.Load() > 0 {
+			if tk := m.findTask(); tk != nil {
+				m.execute(tc, tk)
+			} else {
+				runtime.Gosched()
+			}
 			idle = 0
-			m.execute(tc, tk)
 			continue
 		}
-		idle++
-		if idle >= m.team.opts.SpinBeforeYield {
-			runtime.Gosched()
-			idle = 0
+		if r.arrived.Load() == n {
+			return
 		}
+		if idle++; idle < defaultDrainSpin {
+			runtime.Gosched()
+			continue
+		}
+		idle = 0
+		m.park(r)
+	}
+}
+
+// park blocks m at the region-end gate until a push or the region's
+// last arrival wakes it, unless a task or the last arrival turns up
+// while it is parking.
+//
+// No wake-up is lost. The member publishes itself (sleepers, then
+// parked) before it re-reads outstanding and arrived; a pusher raises
+// outstanding, and the last arrival raises arrived, before reading
+// sleepers and claiming parked. Go's atomics are sequentially
+// consistent, so either the re-read here sees the new task or arrival
+// and the member does not block, or the waker sees sleepers > 0 and
+// parked set and unparks it — and an Unpark that lands before Park
+// leaves a token, so it is not lost either. A token left by a waker
+// that raced a member which then did not block only cuts a later park
+// short; the gate loop re-checks its condition after every wake.
+func (m *member) park(r *region) {
+	t := m.team
+	t.sleepers.Add(1)
+	m.parked.Store(true)
+	if t.outstanding.Load() == 0 && r.arrived.Load() < int64(t.n) {
+		m.st.CountPark()
+		m.ring.Record(tracez.KindPark, 0, 0)
+		m.parker.Park()
+		m.ring.Record(tracez.KindUnpark, 0, 0)
+	}
+	m.parked.Store(false)
+	t.sleepers.Add(-1)
+}
+
+// wake unparks one member parked at the region-end gate, or every one
+// of them when all is set.
+func (t *Team) wake(all bool) {
+	for _, m := range t.members {
+		if m.parked.CompareAndSwap(true, false) {
+			m.parker.Unpark()
+			if !all {
+				return
+			}
+		}
+	}
+}
+
+// push makes tk findable on m's deque and, when members are parked at
+// the region-end gate, wakes one to take it: the one atomic load every
+// deferred spawn pays for the gate. Every deferred task, with or
+// without dependences, enters the deques through here.
+func (m *member) push(tk *task) {
+	m.dq.PushBottom(tk)
+	if m.team.sleepers.Load() > 0 {
+		m.team.wake(false)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 func TestTeamTracingRecordsEvents(t *testing.T) {
 	tr := tracez.New(1 << 12)
 	tm := NewTeam(2, WithTracer(tr))
-	defer tm.Close()
 
 	tm.Parallel(func(tc *Ctx) {
 		tc.ForRange(Dynamic(16), 0, 256, func(int, int) {})
@@ -22,6 +21,10 @@ func TestTeamTracingRecordsEvents(t *testing.T) {
 			tc.Taskwait()
 		})
 	})
+	// Parallel can return while member 1 is still recording its
+	// region-end events; Close waits for every member to exit, which
+	// orders all of them before the snapshot.
+	tm.Close()
 
 	counts := map[tracez.Kind]int{}
 	var covered int64
@@ -50,6 +53,10 @@ func TestTeamTracingRecordsEvents(t *testing.T) {
 	if counts[tracez.KindBarrierStart] == 0 || counts[tracez.KindBarrierStart] != counts[tracez.KindBarrierEnd] {
 		t.Fatalf("barrier spans unbalanced: %d starts, %d ends",
 			counts[tracez.KindBarrierStart], counts[tracez.KindBarrierEnd])
+	}
+	if counts[tracez.KindPark] != counts[tracez.KindUnpark] {
+		t.Fatalf("park spans unbalanced: %d parks, %d unparks",
+			counts[tracez.KindPark], counts[tracez.KindUnpark])
 	}
 }
 

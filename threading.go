@@ -210,10 +210,6 @@ func WithLockFreeTasks() TeamOption { return forkjoin.WithLockFreeTasks() }
 // WithTaskPolicy selects deferred or immediate task execution.
 func WithTaskPolicy(p TaskPolicy) TeamOption { return forkjoin.WithTaskPolicy(p) }
 
-// WithSpinBeforeYield sets how many find-work failures a draining
-// member tolerates before yielding the processor.
-func WithSpinBeforeYield(n int) TeamOption { return forkjoin.WithSpinBeforeYield(n) }
-
 // Schedule is a work-sharing loop schedule for Team loops.
 type Schedule = forkjoin.Schedule
 
