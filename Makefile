@@ -16,10 +16,12 @@ race:
 # Race-detect just the scheduler hot paths (work stealing, the
 # fork-join team's region-end park/wake handshake, deques, shared
 # sched plumbing, the futures join paths the help-first work leans on,
-# and the shard resolver's routing/drain machinery) — the focused loop
-# for partitioner, balancer and idle-wait work.
+# the shard resolver's routing/drain machinery, and the models and
+# serve packages, whose tests are where concurrent executor callers run
+# a busy team's loops as serialized regions) — the focused loop for
+# partitioner, balancer and idle-wait work.
 race-sched:
-	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/forkjoin/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/...
+	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/forkjoin/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/... ./internal/models/... ./internal/serve/...
 
 vet:
 	$(GO) vet ./...

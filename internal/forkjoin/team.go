@@ -124,7 +124,9 @@ func WithPinnedWorkers(on bool) Option {
 //
 // A Team is not safe for concurrent Parallel calls and regions must
 // not nest; this mirrors the single-level OpenMP usage the paper
-// benchmarks.
+// benchmarks. The executor surface (ParallelForCtx, ParallelReduceCtx,
+// SubmitCtx) is safe for concurrent and nested callers: a loop that
+// finds the team busy runs as a serialized region on its caller.
 type Team struct {
 	n       int
 	opts    config
@@ -133,10 +135,12 @@ type Team struct {
 	stats   *sched.Stats
 
 	criticalMu sync.Mutex
-	execMu     sync.Mutex       // serializes Executor-surface regions
 	async      sched.AsyncGroup // in-flight SubmitCtx tasks, joined by Quiesce
-	inRegion   atomic.Bool      // guards against nested/concurrent Parallel
-	closed     atomic.Bool
+	// inRegion is held while a region runs. Parallel panics when it
+	// finds it held; the executor surface runs its loop as a
+	// serialized region on the caller instead (executor.go).
+	inRegion atomic.Bool
+	closed   atomic.Bool
 
 	// freeMu guards the team-wide overflow freelist that member arenas
 	// spill to and refill from, so task records stolen cross-member
@@ -416,11 +420,22 @@ func (t *Team) Parallel(fn func(tc *Ctx)) {
 // cancels the rest of the region). A nil return means every chunk and
 // task ran to completion.
 func (t *Team) ParallelCtx(ctx context.Context, fn func(tc *Ctx)) error {
+	ran, err := t.tryParallel(ctx, fn)
+	if !ran {
+		panic("forkjoin: nested or concurrent parallel regions are not supported")
+	}
+	return err
+}
+
+// tryParallel runs fn as a team region if no region is running and
+// reports whether it did; claiming inRegion is the team's one lock,
+// taken without waiting. It panics on a closed team.
+func (t *Team) tryParallel(ctx context.Context, fn func(tc *Ctx)) (bool, error) {
 	if t.closed.Load() {
 		panic("forkjoin: Parallel on closed team")
 	}
 	if !t.inRegion.CompareAndSwap(false, true) {
-		panic("forkjoin: nested or concurrent parallel regions are not supported")
+		return false, nil
 	}
 	defer t.inRegion.Store(false)
 	r := &region{
@@ -433,7 +448,7 @@ func (t *Team) ParallelCtx(ctx context.Context, fn func(tc *Ctx)) error {
 		t.members[i].cmds <- r
 	}
 	t.members[0].runRegion(r)
-	return r.reg.Finish()
+	return true, r.reg.Finish()
 }
 
 // loop is the worker main loop: run regions until the team closes.

@@ -16,11 +16,11 @@ import (
 // exists to reproduce the paper's single-benchmark-loop semantics —
 // whereas every Executor implementation accepts concurrent
 // submitters: a worksteal.Pool runs concurrent loops help-first (each
-// submitter claims one of MaxHelpers slots), a forkjoin.Team
-// serializes overlapping loops through its execution lock (arrival
-// order becomes queueing delay — a measurable property, not a bug),
-// and a shard.Resolver routes concurrent submitters across shards by
-// its balancer. That makes NewExecutor the constructor a server
+// submitter claims one of MaxHelpers slots), a forkjoin.Team runs the
+// loop that finds it free as a team region and any loop that finds it
+// busy as a serialized region on the caller (a team of one, as in
+// OpenMP), and a shard.Resolver routes concurrent submitters across
+// shards by its balancer. That makes NewExecutor the constructor a server
 // (cmd/threadserve) uses to put one shared runtime behind many
 // request goroutines.
 //

@@ -72,8 +72,8 @@ func TestNewExecutorRunsLoops(t *testing.T) {
 
 // TestNewExecutorConcurrentSubmitters is the property the Model layer
 // does not promise and the Executor layer must: many goroutines
-// driving loops into one shared runtime at once, each loop covering
-// its range exactly once.
+// driving loops and a reduction into one shared runtime at once, each
+// covering its range exactly once.
 func TestNewExecutorConcurrentSubmitters(t *testing.T) {
 	for _, name := range executorNames {
 		t.Run(name, func(t *testing.T) {
@@ -101,7 +101,24 @@ func TestNewExecutorConcurrentSubmitters(t *testing.T) {
 					sums[c] = sum.Load()
 				}()
 			}
+			var reduced float64
+			var reduceErr error
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reduced, reduceErr = ex.ParallelReduceCtx(context.Background(), 0, n, 16, 0,
+					func(l, h int, acc float64) float64 {
+						for i := l; i < h; i++ {
+							acc += float64(i)
+						}
+						return acc
+					},
+					func(a, b float64) float64 { return a + b })
+			}()
 			wg.Wait()
+			if reduceErr != nil || reduced != n*(n-1)/2 {
+				t.Fatalf("concurrent reduce = %v, %v; want %d, nil", reduced, reduceErr, n*(n-1)/2)
+			}
 			for c := 0; c < callers; c++ {
 				if errs[c] != nil {
 					t.Fatalf("caller %d: %v", c, errs[c])

@@ -9,9 +9,9 @@
 // single-benchmark-loop semantics and are not safe for concurrent
 // calls, while the executor surface is exactly the concurrent one —
 // a work-stealing pool absorbs overlapping request loops help-first,
-// a fork-join team serializes them through its execution lock
-// (arrival bursts become queueing delay), and a sharded resolver
-// routes them across pools. Those differences are what the open-loop
+// a fork-join team runs one of them as a team region and the others
+// as serialized regions on their request goroutines, and a sharded
+// resolver routes them across pools. Those differences are what the open-loop
 // load generator (internal/loadgen) measures, in the performance
 // gate's service series (internal/benchgate).
 //
