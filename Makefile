@@ -19,9 +19,12 @@ race:
 # the shard resolver's routing/drain machinery, and the models and
 # serve packages, whose tests are where concurrent executor callers run
 # a busy team's loops as serialized regions) — the focused loop for
-# partitioner, balancer and idle-wait work.
+# partitioner, balancer and idle-wait work. The second line runs the
+# fork-join team's two lock-free handshake stress tests (the dynamic
+# schedule's claim-and-steal, the region-end gate) once more.
 race-sched:
 	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/forkjoin/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/... ./internal/models/... ./internal/serve/...
+	$(GO) test -race -count=3 -run 'TestDynamicStealStress|TestRegionEndGateStress' ./internal/forkjoin/...
 
 vet:
 	$(GO) vet ./...

@@ -13,7 +13,9 @@
 // (the workers are "idle"). This is the blocking-inside-stealable-
 // tasks failure mode the AMT survey names as dominant for many-task
 // runtimes. Thread-per-task APIs (futures.Async, futures.NewThread)
-// are exempt: blocking there costs one goroutine, not a worker lane.
+// and forkjoin's Team.SubmitCtx, which runs its function on a
+// goroutine of its own, are exempt: blocking there costs one
+// goroutine, not a worker lane.
 //
 // Mechanism: every function is summarized bottom-up over the
 // interprocedural call graph into the set of blocking operations it

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"threading/internal/forkjoin"
 	"threading/internal/worksteal"
 )
 
@@ -38,8 +37,8 @@ func worker() {
 	wg.Wait()
 }
 
-func namedTask(t *forkjoin.Team) {
-	_ = t.SubmitCtx(context.Background(), worker) // want `task passed to Team.SubmitCtx reaches sync.WaitGroup.Wait`
+func namedTask(p *worksteal.Pool) {
+	_ = p.SubmitCtx(context.Background(), worker) // want `task passed to Pool.SubmitCtx reaches sync.WaitGroup.Wait`
 }
 
 // Unbuffered channel operations inside a parallel-loop body.

@@ -1,12 +1,15 @@
 // Negative fixture: compute-only tasks, buffered channels, blocking
-// on thread-per-task APIs, goroutines launched from tasks, and
-// blocking outside any task are all fine.
+// on thread-per-task APIs and in a team's submitted function,
+// goroutines launched from tasks, and blocking outside any task are
+// all fine.
 package clean
 
 import (
 	"context"
+	"sync"
 	"time"
 
+	"threading/internal/forkjoin"
 	"threading/internal/futures"
 	"threading/internal/worksteal"
 )
@@ -38,6 +41,15 @@ func threadPerTask() {
 		return 1, nil
 	})
 	_, _ = f.Get()
+}
+
+// Team.SubmitCtx runs fn on a goroutine of its own, not on a team
+// member: a blocked fn costs a goroutine, not a member.
+func teamSubmit(t *forkjoin.Team) {
+	_ = t.SubmitCtx(context.Background(), func() {
+		var wg sync.WaitGroup
+		wg.Wait()
+	})
 }
 
 // A goroutine launched from the task blocks its own goroutine, not

@@ -44,8 +44,9 @@ type Entry struct {
 	OnCallerStack bool
 	// Pooled marks entry points whose tasks run on a fixed-width
 	// worker pool, where a blocked task permanently occupies a
-	// worker. Thread-per-task APIs (futures.Async, futures.NewThread)
-	// are not pooled: blocking there costs a goroutine, not a lane.
+	// worker. Thread-per-task APIs (futures.Async, futures.NewThread,
+	// forkjoin's Team.SubmitCtx) are not pooled: blocking there costs a
+	// goroutine, not a lane.
 	Pooled bool
 }
 
@@ -73,7 +74,7 @@ var registry = map[string]map[string]map[string]Entry{
 		"Team": {
 			"Parallel":          {TaskParams: []TaskParam{{Index: 0}}, OnCallerStack: true, Pooled: true},
 			"ParallelCtx":       {TaskParams: []TaskParam{{Index: 1}}, OnCallerStack: true, Pooled: true},
-			"SubmitCtx":         {TaskParams: []TaskParam{{Index: 1}}, Pooled: true},
+			"SubmitCtx":         {TaskParams: []TaskParam{{Index: 1}}}, // fn runs on a goroutine of its own
 			"ParallelForCtx":    {TaskParams: []TaskParam{{Index: 4, Loop: true}}, OnCallerStack: true, Pooled: true},
 			"ParallelReduceCtx": {TaskParams: []TaskParam{{Index: 5, Loop: true}, {Index: 6}}, OnCallerStack: true, Pooled: true},
 		},

@@ -97,7 +97,9 @@ func (tc *Ctx) Single(fn func()) {
 func (tc *Ctx) Sections(fns ...func()) {
 	seq := tc.loopSeq
 	tc.loopSeq++
-	d := tc.r.getLoop(seq, tc.m.team, 0, len(fns))
+	// Sections hands blocks out from d.next, which every schedule
+	// seeds; it needs no per-member ranges.
+	d := tc.r.getLoop(seq, tc.m.team, Static, 0, len(fns))
 	run := tc.guard(func(l, _ int) { fns[l]() })
 	for !tc.m.reg.Canceled() {
 		i := d.next.Add(1) - 1
@@ -144,11 +146,9 @@ func (tc *Ctx) forRange(s Schedule, lo, hi int, body func(l, h int)) {
 		tc.m.st.CountLoopChunk()
 		forStatic(tc.m.id, tc.m.team.n, lo, hi, s.Chunk, run)
 	case ScheduleDynamic:
-		d := tc.r.getLoop(seq, tc.m.team, lo, hi)
-		forDynamic(d, tc.m, s.Chunk, run)
+		forDynamic(tc.r.getLoop(seq, tc.m.team, s, lo, hi), tc.m, run)
 	case ScheduleGuided:
-		d := tc.r.getLoop(seq, tc.m.team, lo, hi)
-		forGuided(d, tc.m, s.Chunk, run)
+		forGuided(tc.r.getLoop(seq, tc.m.team, s, lo, hi), tc.m, s.Chunk, run)
 	}
 }
 
@@ -171,17 +171,19 @@ func (tc *Ctx) ReduceFloat64(s Schedule, lo, hi int, identity float64,
 	combine func(a, b float64) float64) float64 {
 
 	seq := tc.loopSeq
-	d := tc.r.getLoop(seq, tc.m.team, lo, hi) // claim descriptor for partials
+	// Claim the descriptor for the partials with the loop's schedule:
+	// whichever of this call and forRange's comes first builds it.
+	d := tc.r.getLoop(seq, tc.m.team, s, lo, hi)
 	acc := identity
 	tc.forRange(s, lo, hi, func(l, h int) {
 		acc = body(l, h, acc)
 	})
-	d.partials[tc.m.id].v = acc
+	d.slots[tc.m.id].partial = acc
 	tc.Barrier()
 	tc.Master(func() {
 		res := identity
-		for i := range d.partials {
-			res = combine(res, d.partials[i].v)
+		for i := range d.slots {
+			res = combine(res, d.slots[i].partial)
 		}
 		d.result = res
 	})

@@ -1,6 +1,10 @@
 package forkjoin
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"threading/internal/sched"
+)
 
 // ScheduleKind names a work-sharing loop schedule, mirroring OpenMP's
 // schedule clause.
@@ -14,7 +18,9 @@ const (
 	// on flat data-parallel loops in the paper.
 	ScheduleStatic ScheduleKind = iota
 	// ScheduleDynamic hands out chunks of Chunk iterations (default 1)
-	// from a shared counter, first-come first-served.
+	// nonmonotonically: each member starts on its own contiguous block,
+	// and idle members steal half of a busy member's remaining chunks;
+	// chunk order across members is unspecified, as OpenMP 5.0 allows.
 	ScheduleDynamic
 	// ScheduleGuided hands out exponentially shrinking chunks, never
 	// smaller than Chunk (default 1).
@@ -55,28 +61,40 @@ func StaticChunked(chunk int) Schedule { return Schedule{Kind: ScheduleStatic, C
 
 // loopDesc is the shared state of one work-sharing loop instance.
 type loopDesc struct {
-	next     atomic.Int64 // dynamic/guided: next unclaimed iteration
-	hi       int64
-	partials []paddedFloat // reduction slots, one per member
-	result   float64       // combined reduction result
+	next   atomic.Int64 // guided, Sections: next unclaimed iteration
+	hi     int64
+	slots  []memberSlot // one per member
+	result float64      // combined reduction result
+
+	// Dynamic schedule: total chunks of chunk iterations from lo,
+	// claimed unit chunks at a time (see claimUnit).
+	lo, chunk   int
+	total, unit uint64
 }
 
-// paddedFloat keeps per-member reduction slots on separate cache
-// lines.
-type paddedFloat struct {
-	v float64
-	_ [56]byte
+// memberSlot is one member's part of a loop descriptor, on a cache
+// line of its own: its reduction partial and, under the dynamic
+// schedule, the claim units it has not claimed yet, packed by
+// packRange.
+type memberSlot struct {
+	partial float64
+	units   atomic.Uint64
+	_       [sched.CacheLine - 16]byte
 }
 
 // getLoop returns the shared descriptor for the seq-th work-sharing
-// construct of the region, creating it on first arrival.
-func (r *region) getLoop(seq int, team *Team, lo, hi int) *loopDesc {
+// construct of the region, creating it on first arrival; under the
+// dynamic schedule that first arrival also deals every member its
+// block.
+func (r *region) getLoop(seq int, team *Team, s Schedule, lo, hi int) *loopDesc {
 	r.mu.Lock()
 	d, ok := r.loops[seq]
 	if !ok {
-		d = &loopDesc{partials: make([]paddedFloat, team.n)}
+		d = &loopDesc{hi: int64(hi), slots: make([]memberSlot, team.n)}
 		d.next.Store(int64(lo))
-		d.hi = int64(hi)
+		if s.Kind == ScheduleDynamic {
+			d.deal(lo, hi, s.Chunk)
+		}
 		r.loops[seq] = d
 	}
 	r.mu.Unlock()
@@ -131,25 +149,122 @@ func forStatic(id, nMembers, lo, hi, chunk int, body func(l, h int)) {
 	}
 }
 
-// forDynamic claims fixed-size chunks from the shared counter until
-// the loop is exhausted.
-func forDynamic(d *loopDesc, m *member, chunk int, body func(l, h int)) {
-	if chunk <= 0 {
-		chunk = 1
+// maxUnits is the most claim units a packed range can address: both
+// of its ends are 32-bit.
+const maxUnits = 1<<32 - 1
+
+// claimUnit returns how many chunks one claim takes, k, and how many
+// claims cover total chunks. k is 1 unless total exceeds maxUnits;
+// then it is the smallest k that brings the claim count under it. The
+// body still runs once per chunk, so chunk sizes and counts stay
+// exact at any loop length.
+func claimUnit(total uint64) (k, units uint64) {
+	k = max((total+maxUnits-1)/maxUnits, 1)
+	return k, (total + k - 1) / k
+}
+
+// packRange packs the unclaimed claim units [next, end) into one word,
+// so that a single CAS both checks and changes a member's range.
+func packRange(next, end uint64) uint64 { return next<<32 | end }
+
+// unpackRange is the inverse of packRange.
+func unpackRange(v uint64) (next, end uint64) { return v >> 32, v & maxUnits }
+
+// deal splits [lo, hi) into chunks of chunk iterations (at least 1)
+// and gives member i the contiguous claim units
+// [units*i/n, units*(i+1)/n).
+func (d *loopDesc) deal(lo, hi, chunk int) {
+	d.lo, d.chunk = lo, max(chunk, 1)
+	if hi <= lo {
+		return
 	}
-	c64 := int64(chunk)
-	for !m.reg.Canceled() {
-		start := d.next.Add(c64) - c64
-		if start >= d.hi {
+	d.total = uint64(hi-lo-1)/uint64(d.chunk) + 1
+	var units uint64
+	d.unit, units = claimUnit(d.total)
+	n := uint64(len(d.slots))
+	for i := range d.slots {
+		d.slots[i].units.Store(packRange(units*uint64(i)/n, units*uint64(i+1)/n))
+	}
+}
+
+// forDynamic runs the chunks the member claims (see claim) until no
+// member has any left or the region is canceled. Each chunk is counted
+// and checked for cancellation on its own, whatever the claim unit.
+func forDynamic(d *loopDesc, m *member, body func(l, h int)) {
+	for {
+		u, ok := d.claim(m.id)
+		if !ok {
 			return
 		}
-		end := start + c64
-		if end > d.hi {
-			end = d.hi
+		for c, last := u*d.unit, min((u+1)*d.unit, d.total); c < last; c++ {
+			if m.reg.Canceled() {
+				return
+			}
+			l := d.lo + int(c)*d.chunk
+			m.st.CountLoopChunk()
+			body(l, min(l+d.chunk, int(d.hi)))
 		}
-		m.st.CountLoopChunk()
-		body(int(start), int(end))
 	}
+}
+
+// claim takes the next claim unit of member id's own range with a CAS
+// on the member's own cache line, which other members write only to
+// steal. When the range is empty, it steals (see steal) and retries;
+// false means a full scan found every member's range empty.
+func (d *loopDesc) claim(id int) (uint64, bool) {
+	own := &d.slots[id].units
+	for {
+		v := own.Load()
+		if next, end := unpackRange(v); next < end {
+			if own.CompareAndSwap(v, packRange(next+1, end)) {
+				return next, true
+			}
+			continue // a thief shortened the range: reread it
+		}
+		if !d.steal(id) {
+			return 0, false
+		}
+	}
+}
+
+// steal scans the other members' ranges, starting after member id,
+// moves the tail half of the first non-empty one into member id's own
+// empty range, and reports whether it found one.
+//
+// Every unit is claimed exactly once. At any instant a unit is in
+// exactly one of three places: some member's packed range, the hands
+// of a thief between its CAS and its Store, or claimed. Each step moves
+// units between them atomically. An owner's CAS next -> next+1 claims
+// one unit. A thief's CAS end -> end-take removes the tail from the
+// victim's range in one step, so the units in flight are held by that
+// thief alone, and only it ever runs them. The thief's Store then
+// publishes them in its own range, which is empty, and which nobody
+// else writes while it is: owners CAS only their own range, and
+// thieves only non-empty ones. ABA is harmless. A range word is the
+// slot's whole state, and a reinstalled range is unclaimed. So a CAS
+// that finds the word it read acts on exactly the unclaimed units it
+// computed from, even if they left the slot and came back in between.
+// A member returns only after finding its own range empty, and after
+// that only it could refill the range, so no unit is stranded; units a
+// scan misses in flight are run by their thief.
+func (d *loopDesc) steal(id int) bool {
+	n := len(d.slots)
+	for i := 1; i < n; i++ {
+		victim := &d.slots[(id+i)%n].units
+		for {
+			v := victim.Load()
+			next, end := unpackRange(v)
+			if next >= end {
+				break
+			}
+			take := (end - next + 1) / 2
+			if victim.CompareAndSwap(v, packRange(next, end-take)) {
+				d.slots[id].units.Store(packRange(end-take, end))
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // forGuided claims exponentially shrinking chunks: each claim takes

@@ -220,7 +220,10 @@ var (
 )
 
 // Dynamic returns a dynamic work-sharing schedule with the given
-// chunk size.
+// chunk size. It is nonmonotonic: each member starts on its own
+// contiguous block, and idle members steal half of a busy member's
+// remaining chunks; chunk order across members is unspecified, as
+// OpenMP 5.0 allows.
 func Dynamic(chunk int) forkjoin.Schedule { return forkjoin.Dynamic(chunk) }
 
 // Guided returns a guided work-sharing schedule with the given
