@@ -19,12 +19,14 @@ race:
 # the shard resolver's routing/drain machinery, and the models and
 # serve packages, whose tests are where concurrent executor callers run
 # a busy team's loops as serialized regions) — the focused loop for
-# partitioner, balancer and idle-wait work. The second line runs the
-# fork-join team's two lock-free handshake stress tests (the dynamic
-# schedule's claim-and-steal, the region-end gate) once more.
+# partitioner, balancer and idle-wait work. The last two lines run the
+# lock-free handshake stress tests once more: the fork-join team's
+# (the dynamic schedule's claim-and-steal, the region-end gate) and the
+# task core's push/steal/park/wake handshake both runtimes share.
 race-sched:
 	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/forkjoin/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/... ./internal/models/... ./internal/serve/...
 	$(GO) test -race -count=3 -run 'TestDynamicStealStress|TestRegionEndGateStress' ./internal/forkjoin/...
+	$(GO) test -race -count=3 -run 'TestTaskCoreHandshakeStress' ./internal/sched/...
 
 vet:
 	$(GO) vet ./...

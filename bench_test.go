@@ -105,39 +105,46 @@ func BenchmarkFig10SRAD(b *testing.B)   { benchFigure(b, "fig10") }
 
 // --- Ablations (DESIGN.md section 5) ---------------------------------
 
-// BenchmarkAblationDeque runs the same work-stealing scheduler over
-// lock-free Chase-Lev deques (Cilk Plus) vs mutex-based deques (Intel
-// OpenMP tasks) on uncut recursive Fibonacci — the paper's explanation
-// for Fig. 5. Note: the lock-based penalty the paper measured comes
-// from many concurrent thieves contending on the victim's lock; on a
-// host with few cores the two backends measure within noise, because
-// at most one thief runs at a time while Chase-Lev pays its mandatory
-// store-load fence on every pop (see EXPERIMENTS.md).
+// BenchmarkAblationDeque runs uncut recursive Fibonacci — the paper's
+// Fig. 5 — as {omp_task on a team, cilk_spawn on a pool} × {lock-based
+// deques (the Intel OpenMP task runtime), lock-free Chase-Lev deques
+// (Cilk Plus)}. Both schedulers run their tasks on the same task core
+// (sched.TaskCore), so the deque column isolates the variable the
+// paper names, and the scheduler column what the OpenMP team adds on
+// top: region entry and the Master that builds the tree. On a host
+// with few cores at most one thief runs at a time, which bounds the
+// lock penalty the paper measured (see EXPERIMENTS.md).
 func BenchmarkAblationDeque(b *testing.B) {
 	const fibN = 21
-	for _, cfg := range []struct {
-		name string
-		kind deque.Kind
-	}{
-		{"chase-lev", deque.KindChaseLev},
-		{"locked", deque.KindLocked},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			m, err := models.OverPool(models.CilkSpawn,
-				worksteal.NewPool(benchThreads, worksteal.WithDequeKind(cfg.kind)), 0)
-			if err != nil {
-				b.Fatal(err)
+	for _, kind := range []deque.Kind{deque.KindLocked, deque.KindChaseLev} {
+		b.Run("omp_task/"+kind.String(), func(b *testing.B) {
+			var opts []forkjoin.Option
+			if kind == deque.KindChaseLev {
+				opts = append(opts, forkjoin.WithLockFreeTasks())
 			}
-			defer m.Close()
-			want := kernels.FibSeq(fibN)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := kernels.FibTask(m, fibN, 0); got != want {
-					b.Fatalf("fib = %d, want %d", got, want)
-				}
-			}
+			m, err := models.OverTeam(models.OMPTask, forkjoin.NewTeam(benchThreads, opts...))
+			benchFib(b, m, err, fibN)
 		})
+		b.Run("cilk_spawn/"+kind.String(), func(b *testing.B) {
+			m, err := models.OverPool(models.CilkSpawn,
+				worksteal.NewPool(benchThreads, worksteal.WithDequeKind(kind)), 0)
+			benchFib(b, m, err, fibN)
+		})
+	}
+}
+
+// benchFib times kernels.FibTask(m, n) and closes m.
+func benchFib(b *testing.B, m models.Model, err error, n int) {
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	want := kernels.FibSeq(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := kernels.FibTask(m, n, 0); got != want {
+			b.Fatalf("fib = %d, want %d", got, want)
+		}
 	}
 }
 

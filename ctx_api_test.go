@@ -62,8 +62,7 @@ func TestFunctionalOptions(t *testing.T) {
 	team := threading.NewTeam(2, threading.WithSchedule(threading.Dynamic(8)),
 		threading.WithTaskPolicy(threading.TaskDeferred))
 	defer team.Close()
-	pool := threading.NewPool(2, threading.WithStealBackend(threading.DequeLocked),
-		threading.WithSpinBeforePark(16))
+	pool := threading.NewPool(2, threading.WithStealBackend(threading.DequeLocked))
 	defer pool.Close()
 	dev := threading.NewDevice("d1", threading.WithUnits(2), threading.WithLatency(time.Microsecond))
 	defer dev.Close()

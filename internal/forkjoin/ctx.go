@@ -204,15 +204,14 @@ type taskNode struct {
 
 // task is one explicit task: a body plus its node in the task tree.
 // The node is embedded (node normally points at own), and finished
-// records are recycled through the executing member's freelist
-// (member.alloc / member.recycle), so in steady state an OpenMP-style
-// task creation allocates nothing. Dependency tasks keep standalone
-// nodes (their depTask graph outlives any one record), so for them
-// node points elsewhere and own stays unused.
+// records are recycled through the executing member's arena in the
+// task core (Alloc / member.recycle), so in steady state an
+// OpenMP-style task creation allocates nothing. Dependency tasks keep
+// standalone nodes (their depTask graph outlives any one record), so
+// for them node points elsewhere and own stays unused.
 type task struct {
 	fn   func(*Ctx)
 	node *taskNode
-	next *task // freelist link while recycled
 	own  taskNode
 }
 
@@ -227,7 +226,7 @@ func (tc *Ctx) Task(fn func(*Ctx)) {
 	t := tc.m.team
 	tc.m.st.CountSpawn()
 	tc.m.ring.Record(tracez.KindSpawn, 0, 0)
-	tk := tc.m.alloc()
+	tk := tc.m.Alloc()
 	tk.fn = fn
 	tk.node = &tk.own
 	tk.own.parent = tc.m.cur
@@ -237,7 +236,7 @@ func (tc *Ctx) Task(fn func(*Ctx)) {
 		tc.m.execute(tc, tk)
 		return
 	}
-	tc.m.push(tk)
+	tc.m.Push(tk)
 }
 
 // Taskwait blocks until every child task created by the current task
@@ -249,7 +248,7 @@ func (tc *Ctx) Taskwait() {
 	node := m.cur
 	idle := 0
 	for node.children.Load() > 0 {
-		if tk := m.findTask(); tk != nil {
+		if tk := m.Find(); tk != nil {
 			idle = 0
 			m.execute(tc, tk)
 			continue

@@ -122,7 +122,7 @@ func (dt *depTask) enqueue(m *member) {
 	// The wrapper record comes from m's arena, but its node is the
 	// depTask's standalone node (own stays unused): the dependency
 	// graph references nodes beyond any single record's lifetime.
-	tk := m.alloc()
+	tk := m.Alloc()
 	tk.node = dt.node
 	tk.fn = func(tc *Ctx) {
 		dt.fn(tc)
@@ -142,7 +142,7 @@ func (dt *depTask) enqueue(m *member) {
 			s.enqueue(tc.m)
 		}
 	}
-	m.push(tk)
+	m.Push(tk)
 }
 
 // depDomain lazily creates the dependency table attached to a task

@@ -150,6 +150,7 @@ func (t *Team) serialFor(reg *sched.Region, s Schedule, lo, hi int, body func(l,
 // join before returning.
 func (t *Team) Quiesce() error { return t.async.Wait() }
 
-// PendingWork reports the number of live explicit tasks in the team —
-// the signal a least-loaded balancer reads when choosing a shard.
-func (t *Team) PendingWork() int64 { return t.outstanding.Load() }
+// PendingWork reports the team's count of queued-but-not-taken
+// explicit tasks — the signal a least-loaded balancer reads when
+// choosing a shard.
+func (t *Team) PendingWork() int64 { return t.core.Pending() }

@@ -177,3 +177,28 @@ func TestExecutorSerializedRegion(t *testing.T) {
 		t.Fatalf("%d goroutines after Close, %d before NewTeam", g, base)
 	}
 }
+
+// PendingWork counts queued, not live, tasks: on a team of one, three
+// deferred tasks stay queued until the Taskwait runs them, and while
+// the first of them runs two are queued though three are live.
+func TestTeamPendingWorkCountsQueuedTasks(t *testing.T) {
+	tm := NewTeam(1)
+	defer tm.Close()
+	var before, during, after int64
+	tm.Parallel(func(tc *Ctx) {
+		for range 3 {
+			tc.Task(func(*Ctx) {
+				if during == 0 {
+					during = tm.PendingWork()
+				}
+			})
+		}
+		before = tm.PendingWork()
+		tc.Taskwait()
+		after = tm.PendingWork()
+	})
+	if before != 3 || during != 2 || after != 0 {
+		t.Fatalf("PendingWork = %d before Taskwait, %d in the first task, %d after; want 3, 2, 0",
+			before, during, after)
+	}
+}

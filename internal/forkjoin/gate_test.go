@@ -213,7 +213,7 @@ func (s *stressRegion) panicking(tm *Team) error {
 // parked or parking at tm's region-end gate.
 func awaitSleepers(tm *Team, want int32) {
 	deadline := time.Now().Add(100 * time.Millisecond)
-	for tm.sleepers.Load() < want && time.Now().Before(deadline) {
+	for int32(tm.core.Parked()) < want && time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
 }

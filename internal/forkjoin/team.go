@@ -1,15 +1,17 @@
 // Package forkjoin implements an OpenMP-style fork-join runtime: a
 // persistent team of workers executes parallel regions, inside which
 // loop iterations are distributed by work-sharing schedules (static,
-// dynamic, guided) and explicit tasks are scheduled over per-member
-// deques.
+// dynamic, guided) and explicit tasks run on the task core
+// (sched.TaskCore) that worksteal's pool embeds too.
 //
 // This is the "OpenMP" side of the reproduced paper. Its two defining
 // properties — O(1) hand-out of loop chunks by work-sharing (no steals
 // on the distribution path), and lock-based task deques in the tasking
 // layer (matching the Intel OpenMP runtime the paper measured) — are
 // the mechanisms behind the paper's headline results on data-parallel
-// kernels (Figs. 1-4) and recursive tasking (Fig. 5).
+// kernels (Figs. 1-4) and recursive tasking (Fig. 5). What the team
+// adds on top of the core is OpenMP's: regions, the barrier, the loop
+// schedules, task dependences and the region-end gate.
 package forkjoin
 
 import (
@@ -133,6 +135,7 @@ type Team struct {
 	barrier syncprim.Barrier
 	members []*member
 	stats   *sched.Stats
+	core    *sched.TaskCore[task]
 
 	criticalMu sync.Mutex
 	async      sched.AsyncGroup // in-flight SubmitCtx tasks, joined by Quiesce
@@ -142,54 +145,29 @@ type Team struct {
 	inRegion atomic.Bool
 	closed   atomic.Bool
 
-	// freeMu guards the team-wide overflow freelist that member arenas
-	// spill to and refill from, so task records stolen cross-member
-	// circulate back to whoever allocates next. Touched only when a
-	// local list runs dry or overflows.
-	freeMu    sync.Mutex
-	freeList  *task
-	freeCount int
-
 	// outstanding is bumped twice per explicit task, by whichever
 	// members create and finish it; padded onto its own cache line so
 	// that per-task traffic doesn't false-share with the locks and
 	// flags above (closed and inRegion are read on every region entry).
-	// sleepers shares the line: every push reads it right after its
-	// creator's outstanding increment, and it is written only by
-	// members parking at the region-end gate.
 	_           [sched.CacheLine]byte
 	outstanding atomic.Int64 // live explicit tasks
-	sleepers    atomic.Int32 // members parked (or parking) at the region-end gate
-	_           [sched.CacheLine - 12]byte
+	_           [sched.CacheLine - 8]byte
 
 	wg sync.WaitGroup
 }
 
-// member is one team participant. Member 0 has no cmds channel: it is
-// driven directly by Parallel on the calling goroutine.
+// member is one team participant, animating its slot of the team's
+// task core. Member 0 has no cmds channel: it is driven directly by
+// Parallel on the calling goroutine.
 type member struct {
+	*sched.TaskSlot[task]
 	id   int
 	team *Team
 	cmds chan *region
-	dq   deque.Deque[task]
-	rng  *sched.Rand
 	st   *sched.Shard
 	cur  *taskNode     // node whose children a taskwait would join
 	reg  *sched.Region // cancellation state of the region being run
 	ring *tracez.Ring  // nil unless the team was built WithTracer
-
-	// free is the member-local task arena: records recycled by execute
-	// and reused by alloc. Capped at maxFreeTasks with overflow spilled
-	// to the team-wide list. Owner-only, like dq's bottom end.
-	free  *task
-	nfree int
-
-	// parker and parked are written by other members (wake's CAS,
-	// Parker.Unpark), so they sit past a pad instead of false-sharing
-	// with the owner's per-task deque and arena accesses above.
-	_      [sched.CacheLine]byte
-	parker sched.Parker
-	parked atomic.Bool
 }
 
 // region is the shared state of one parallel region: the body, the
@@ -230,19 +208,17 @@ func NewTeam(n int, options ...Option) *Team {
 	if opts.LockFreeTasks {
 		kind = deque.KindChaseLev
 	}
+	t.core = sched.NewTaskCore[task](n, kind, t.stats, opts.Tracer, false)
 	t.members = make([]*member, n)
 	for i := 0; i < n; i++ {
 		m := &member{
-			id:   i,
-			team: t,
-			dq:   deque.New[task](kind),
-			rng:  sched.NewRand(uint64(i)*0x9E3779B9 + 7),
-			st:   t.stats.Shard(i),
+			TaskSlot: t.core.Slot(i),
+			id:       i,
+			team:     t,
+			st:       t.stats.Shard(i),
+			ring:     opts.Tracer.Ring(i),
 		}
-		if opts.Tracer != nil {
-			m.ring = opts.Tracer.Ring(i)
-			opts.Tracer.Label(i, "fj-m"+strconv.Itoa(i))
-		}
+		opts.Tracer.Label(i, "fj-m"+strconv.Itoa(i))
 		if i > 0 {
 			m.cmds = make(chan *region)
 		}
@@ -268,41 +244,15 @@ func NewTeam(n int, options ...Option) *Team {
 	return t
 }
 
-// maxFreeTasks caps each member-local freelist; freeTransfer is the
-// batch moved between a local list and the team-wide overflow list;
-// maxTeamFree caps the team-wide list, beyond which records are
-// dropped for the GC.
-const (
-	maxFreeTasks = 256
-	freeTransfer = 64
-	maxTeamFree  = 4096
-)
-
-// alloc returns a task record from the member's arena, refilling from
-// the team-wide overflow list when the local list is dry; a fresh heap
-// allocation is the last resort. Only the member's own goroutine may
-// call it.
-func (m *member) alloc() *task {
-	if m.free == nil {
-		m.refill()
-	}
-	if tk := m.free; tk != nil {
-		m.free = tk.next
-		m.nfree--
-		tk.next = nil
-		return tk
-	}
-	return new(task)
-}
-
 // recycle returns tk to the executing member's arena — the
-// return-to-executor rule, matching worksteal's. It must run after
-// execute's final bookkeeping: at that point no deque can yield tk
-// again, and if the embedded node was exposed to children (node ==
-// &own) it is reset only when their count has drained to zero — the
-// atomic load ordering the last child's decrement before the reset.
-// A record whose embedded node still has live children (a task that
-// returned without joining deferred children) is left for the GC.
+// return-to-executor rule the core applies to every record. It must
+// run after execute's final bookkeeping: at that point no deque can
+// yield tk again, and if the embedded node was exposed to children
+// (node == &own) it is reset only when their count has drained to
+// zero — the atomic load ordering the last child's decrement before
+// the reset. A record whose embedded node still has live children (a
+// task that returned without joining deferred children) is left for
+// the GC.
 func (m *member) recycle(tk *task) {
 	if tk.node == &tk.own {
 		if tk.own.children.Load() != 0 {
@@ -311,61 +261,7 @@ func (m *member) recycle(tk *task) {
 		tk.own = taskNode{}
 	}
 	tk.fn, tk.node = nil, nil
-	if m.nfree >= maxFreeTasks {
-		m.spill()
-	}
-	tk.next = m.free
-	m.free = tk
-	m.nfree++
-}
-
-// refill moves up to freeTransfer records from the team-wide list to
-// m's; batching keeps the shared lock off the per-task path.
-func (m *member) refill() {
-	t := m.team
-	t.freeMu.Lock()
-	n := 0
-	for n < freeTransfer && t.freeList != nil {
-		tk := t.freeList
-		t.freeList = tk.next
-		tk.next = m.free
-		m.free = tk
-		n++
-	}
-	t.freeCount -= n
-	t.freeMu.Unlock()
-	m.nfree += n
-}
-
-// spill moves a freeTransfer batch from m's overfull local list to
-// the team-wide list (or drops it for the GC when that list is full),
-// so a member that executes far more than it creates hands records
-// back to the creators.
-func (m *member) spill() {
-	var head, tail *task
-	n := 0
-	for n < freeTransfer && m.free != nil {
-		tk := m.free
-		m.free = tk.next
-		tk.next = head
-		if head == nil {
-			tail = tk
-		}
-		head = tk
-		n++
-	}
-	m.nfree -= n
-	if head == nil {
-		return
-	}
-	t := m.team
-	t.freeMu.Lock()
-	if t.freeCount+n <= maxTeamFree {
-		tail.next = t.freeList
-		t.freeList = head
-		t.freeCount += n
-	}
-	t.freeMu.Unlock()
+	m.Free(tk)
 }
 
 // Size reports the number of team members.
@@ -486,14 +382,11 @@ func (m *member) runRegion(r *region) {
 	// barrier. The gate alone is a full rendezvous, but the barrier
 	// keeps a member that is still polling this region's gate from
 	// stealing a task of the next region (outstanding is team-wide)
-	// and running it under this region's Ctx. Hand the hoard beyond a
-	// one-refill stash back to the team list on the way out, so records
-	// drained here flow back to whichever member spawns in the next
-	// region instead of waiting for the maxFreeTasks cap.
+	// and running it under this region's Ctx. Flush the arena on the
+	// way out, so records drained here flow back to whichever member
+	// spawns in the next region.
 	m.awaitRegionEnd(tc, r)
-	for m.nfree > freeTransfer {
-		m.spill()
-	}
+	m.FlushFree()
 	m.st.CountBarrierWait()
 	m.ring.Record(tracez.KindBarrierStart, 0, 0)
 	m.team.barrier.Wait()
@@ -513,20 +406,20 @@ func (m *member) runRegion(r *region) {
 // must still be there to take those tasks, so it waits here rather
 // than in the barrier. While tasks are live it keeps looking for one,
 // yielding after each miss; while none is live and a body is still
-// running it yields for defaultDrainSpin rounds, then parks until a
-// push or the last arrival wakes it.
+// running it yields for defaultDrainSpin rounds, then parks through
+// the core until a push or the last arrival's WakeAll wakes it.
 func (m *member) awaitRegionEnd(tc *Ctx, r *region) {
 	t := m.team
 	n := int64(t.n)
-	if r.arrived.Add(1) == n && t.sleepers.Load() > 0 {
-		t.wake(true)
+	if r.arrived.Add(1) == n {
+		t.core.WakeAll()
 	}
 	idle := 0
 	for {
-		// The gate is checked before findTask, so a region without
-		// tasks takes no deque lock and counts no failed steal here.
+		// The gate is checked before Find, so a region without tasks
+		// takes no deque lock and counts no failed steal here.
 		if t.outstanding.Load() > 0 {
-			if tk := m.findTask(); tk != nil {
+			if tk := m.Find(); tk != nil {
 				m.execute(tc, tk)
 			} else {
 				runtime.Gosched()
@@ -542,87 +435,8 @@ func (m *member) awaitRegionEnd(tc *Ctx, r *region) {
 			continue
 		}
 		idle = 0
-		m.park(r)
+		m.Park(func() bool { return t.outstanding.Load() == 0 && r.arrived.Load() < n })
 	}
-}
-
-// park blocks m at the region-end gate until a push or the region's
-// last arrival wakes it, unless a task or the last arrival turns up
-// while it is parking.
-//
-// No wake-up is lost. The member publishes itself (sleepers, then
-// parked) before it re-reads outstanding and arrived; a pusher raises
-// outstanding, and the last arrival raises arrived, before reading
-// sleepers and claiming parked. Go's atomics are sequentially
-// consistent, so either the re-read here sees the new task or arrival
-// and the member does not block, or the waker sees sleepers > 0 and
-// parked set and unparks it — and an Unpark that lands before Park
-// leaves a token, so it is not lost either. A token left by a waker
-// that raced a member which then did not block only cuts a later park
-// short; the gate loop re-checks its condition after every wake.
-func (m *member) park(r *region) {
-	t := m.team
-	t.sleepers.Add(1)
-	m.parked.Store(true)
-	if t.outstanding.Load() == 0 && r.arrived.Load() < int64(t.n) {
-		m.st.CountPark()
-		m.ring.Record(tracez.KindPark, 0, 0)
-		m.parker.Park()
-		m.ring.Record(tracez.KindUnpark, 0, 0)
-	}
-	m.parked.Store(false)
-	t.sleepers.Add(-1)
-}
-
-// wake unparks one member parked at the region-end gate, or every one
-// of them when all is set.
-func (t *Team) wake(all bool) {
-	for _, m := range t.members {
-		if m.parked.CompareAndSwap(true, false) {
-			m.parker.Unpark()
-			if !all {
-				return
-			}
-		}
-	}
-}
-
-// push makes tk findable on m's deque and, when members are parked at
-// the region-end gate, wakes one to take it: the one atomic load every
-// deferred spawn pays for the gate. Every deferred task, with or
-// without dependences, enters the deques through here.
-func (m *member) push(tk *task) {
-	m.dq.PushBottom(tk)
-	if m.team.sleepers.Load() > 0 {
-		m.team.wake(false)
-	}
-}
-
-// findTask pops the member's own deque or steals from a random
-// victim.
-func (m *member) findTask() *task {
-	if tk := m.dq.PopBottom(); tk != nil {
-		return tk
-	}
-	n := len(m.team.members)
-	if n == 1 {
-		return nil
-	}
-	start := m.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		v := m.team.members[(start+i)%n]
-		if v == m {
-			continue
-		}
-		if tk := v.dq.Steal(); tk != nil {
-			m.st.CountSteal()
-			m.ring.Record(tracez.KindSteal, int64(v.id), 1)
-			return tk
-		}
-	}
-	m.st.CountFailedSteal()
-	m.ring.Record(tracez.KindStealFail, 0, 0)
-	return nil
 }
 
 // execute runs one explicit task body with parent tracking so that a

@@ -8,8 +8,10 @@ import (
 
 // SchedTarget is the view of a scheduler the stall watchdog observes.
 // worksteal.Pool and shard.Resolver satisfy it; forkjoin.Team does
-// not (its members spin via Gosched between regions rather than
-// parking), so the watchdog is a work-stealing-family facility —
+// not. Its members wait between regions blocked on the team's region
+// channel, not parked, and park only at a region-end gate, inside a
+// region whose caller is waiting for it; so the team reports no parked
+// count, and the watchdog is a work-stealing-family facility —
 // callers gate on a type assertion.
 type SchedTarget interface {
 	// PendingWork returns tasks admitted but not yet completed.

@@ -1,13 +1,15 @@
 // Package sched provides plumbing shared by the threading runtimes in
-// this repository: per-worker pseudo-random victim selection, a
-// lightweight parking primitive for idle workers, and scheduler
-// statistics counters.
+// this repository: the task core (TaskCore: per-worker deques, record
+// arenas, stealing and the park/wake handshake), per-worker
+// pseudo-random victim selection, a lightweight parking primitive,
+// scheduler statistics counters, and cancellation regions.
 //
 // The runtimes in internal/forkjoin and internal/worksteal differ in
-// scheduling policy (work-sharing vs work-stealing) — exactly the
-// difference the reproduced paper measures — but share this mechanical
-// layer, so measured differences between them come from policy, not
-// from incidental implementation detail.
+// scheduling policy (work-sharing vs work-stealing, OpenMP regions vs
+// Cilk frames) — exactly the difference the reproduced paper measures
+// — but share this mechanical layer, their explicit tasks included, so
+// measured differences between them come from policy and deque kind,
+// not from incidental implementation detail.
 package sched
 
 import "sync"

@@ -37,7 +37,7 @@ func (c *Ctx) Canceled() bool { return c.reg.Canceled() }
 // region, so spawning into a canceled run queues tasks that drain
 // without executing.
 func (c *Ctx) Spawn(fn func(*Ctx)) {
-	t := c.worker.alloc()
+	t := c.worker.Alloc()
 	t.fn, t.parent, t.reg = fn, c.frame, c.reg
 	c.push(t)
 }
@@ -47,7 +47,7 @@ func (c *Ctx) Spawn(fn func(*Ctx)) {
 // chunk descriptor (run re-enters the partitioner loop from it), so
 // ForDAC decomposition allocates nothing in steady state.
 func (c *Ctx) spawnRange(lo, hi, grain int, lazy bool, body func(cc *Ctx, l, h int)) {
-	t := c.worker.alloc()
+	t := c.worker.Alloc()
 	t.body, t.lo, t.hi, t.grain, t.lazy = body, lo, hi, grain, lazy
 	t.parent, t.reg = c.frame, c.reg
 	c.push(t)
@@ -59,9 +59,7 @@ func (c *Ctx) push(t *task) {
 	c.frame.pending.Add(1)
 	c.worker.st.CountSpawn()
 	c.worker.ring.Record(tracez.KindSpawn, 0, 0)
-	c.pool.pending.Add(1)
-	c.worker.dq.PushBottom(t)
-	c.pool.signalWork()
+	c.worker.Push(t)
 }
 
 // Sync blocks until every child spawned by this task has completed,

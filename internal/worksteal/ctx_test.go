@@ -59,7 +59,7 @@ func TestRunCtxPanicTyped(t *testing.T) {
 }
 
 func TestNewPoolOptions(t *testing.T) {
-	pool := NewPool(2, WithDequeKind(deque.KindLocked), WithSpinBeforePark(8))
+	pool := NewPool(2, WithDequeKind(deque.KindLocked))
 	defer pool.Close()
 
 	var n atomic.Int64

@@ -81,4 +81,4 @@ func (p *Pool) Quiesce() error { return p.async.Wait() }
 // PendingWork reports the pool's conservative count of queued-but-not-
 // taken tasks — the signal a least-loaded balancer reads when choosing
 // a shard.
-func (p *Pool) PendingWork() int64 { return p.pending.Load() }
+func (p *Pool) PendingWork() int64 { return p.core.Pending() }

@@ -113,7 +113,7 @@ func (c *Ctx) forLazy(lo, hi, grain int, body func(cc *Ctx, l, h int)) {
 		if c.reg.Canceled() {
 			return
 		}
-		if hi-lo > grain && c.worker.dq.Len() == 0 && c.pool.demand() {
+		if hi-lo > grain && c.worker.Len() == 0 && c.pool.core.Demand() {
 			mid := lo + (hi-lo)/2
 			c.worker.st.CountLazySplit()
 			c.worker.ring.Record(tracez.KindLazySplit, int64(mid), int64(hi))

@@ -243,9 +243,9 @@ func TestLazySplitsUnderDemand(t *testing.T) {
 	// have been scheduled (and parked) yet; demand is only signalled by
 	// parked or searching workers, so wait for them to settle first.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.parkedCount.Load() < workers {
+	for p.core.Parked() < workers {
 		if time.Now().After(deadline) {
-			t.Fatalf("workers never parked (parkedCount=%d)", p.parkedCount.Load())
+			t.Fatalf("workers never parked (parkedCount=%d)", p.core.Parked())
 		}
 		runtime.Gosched()
 	}

@@ -18,11 +18,13 @@
 // (Figs. 1-4) — while the Lazy mode splits only when another worker
 // signals demand, closing most of that gap.
 //
-// Work distribution is demand-driven end to end: thieves migrate half
-// a victim's queue per visit (deque.StealHalf), submitters join
+// Deques, record arenas, stealing and the park/wake handshake are the
+// task core (sched.TaskCore) that forkjoin's team embeds too: thieves
+// migrate half a victim's queue per visit, and wake-ups are throttled
+// through the core's pending-work counter instead of broadcast scans.
+// The pool adds Cilk's frames and joins on top: submitters join
 // help-first (the goroutine calling RunCtx executes tasks until its
-// root frame drains instead of parking), and wake-ups are throttled
-// through a pending-work counter instead of broadcast scans.
+// root frame drains instead of parking), and ForDAC's range tasks.
 package worksteal
 
 import (
@@ -46,10 +48,10 @@ import (
 // [lo, hi) at grain), the ForDAC form — so chunk spawns carry their
 // range in the record instead of in a per-chunk closure. The task's
 // own frame and context are embedded, and finished records are
-// recycled through the executing worker's freelist (worker.alloc /
-// worker.recycle), so in steady state a spawn allocates nothing: the
-// record cycles between the arena and the deques for the life of the
-// pool.
+// recycled through the executing worker's arena in the task core
+// (Alloc / worker.recycle), so in steady state a spawn allocates
+// nothing: the record cycles between the arena and the deques for the
+// life of the pool.
 type task struct {
 	fn     func(*Ctx)           // closure body; nil for range tasks
 	body   func(*Ctx, int, int) // range body; nil for closure tasks
@@ -58,7 +60,6 @@ type task struct {
 	lazy   bool                 // range runs under the lazy partitioner
 	parent *frame
 	reg    *sched.Region
-	next   *task // freelist link while recycled
 	own    frame
 	ctx    Ctx
 }
@@ -80,43 +81,17 @@ func (f *frame) childDone() {
 	}
 }
 
-// stealBatch bounds how many tasks one steal visit can migrate.
-const stealBatch = 16
-
-// worker is one scheduler participant: a dedicated pool worker, or a
-// help-first helper animated by a goroutine that called RunCtx.
-//
-// Layout: the fields above the pad are owner-only — touched solely by
-// the goroutine animating the worker (for helper slots, ownership is
-// transferred by the helperBusy CAS). parked and parker below the pad
-// are written by other workers (unparkOne's CAS, Parker.Unpark) and
-// would otherwise false-share with the owner's per-task deque and
-// freelist accesses.
+// worker is one scheduler participant, animating its slot of the
+// pool's task core: a dedicated pool worker, or a help-first helper
+// animated by a goroutine that called RunCtx (ownership of a helper
+// slot is transferred by the helperBusy CAS).
 type worker struct {
+	*sched.TaskSlot[task]
 	id   int
 	pool *Pool
-	dq   deque.Deque[task]
-	rng  *sched.Rand
 	st   *sched.Shard
 	help bool         // a help-first submitter slot, not a dedicated worker
 	ring *tracez.Ring // nil unless the pool was built WithTracer
-
-	// free is the worker-local task arena: records recycled by run and
-	// handed back out by alloc. Capped at maxFreeTasks; overflow spills
-	// to the pool-wide list so records stolen cross-worker circulate
-	// back to the spawners.
-	free  *task
-	nfree int
-
-	// stealBuf is the scratch buffer for StealHalf visits. findWork
-	// re-nils every slot it filled before returning, so a dead run's
-	// tasks are not pinned — and recycled records are not kept
-	// reachable — by a stale buffer entry.
-	stealBuf [stealBatch]*task
-
-	_      [sched.CacheLine]byte
-	parker sched.Parker
-	parked atomic.Bool
 }
 
 // MaxHelpers is the number of help-first submitter slots per pool:
@@ -132,9 +107,6 @@ type config struct {
 	// The default, deque.KindChaseLev, models Cilk Plus; use
 	// deque.KindLocked to model the Intel OpenMP task runtime.
 	DequeKind deque.Kind
-	// SpinBeforePark is how many failed find-work rounds a worker or
-	// a Sync performs before blocking. Zero selects a default.
-	SpinBeforePark int
 	// Partitioner selects how ForDAC distributes loop iterations; the
 	// default, Eager, is the paper-faithful cilk_for decomposition.
 	Partitioner Partitioner
@@ -167,12 +139,6 @@ func WithDequeKind(k deque.Kind) Option {
 	return poolOption(func(o *config) { o.DequeKind = k })
 }
 
-// WithSpinBeforePark sets how many failed find-work rounds a worker
-// or a Sync performs before blocking.
-func WithSpinBeforePark(n int) Option {
-	return poolOption(func(o *config) { o.SpinBeforePark = n })
-}
-
 // WithPartitioner selects the ForDAC loop partitioner: Eager for the
 // paper-faithful up-front decomposition, Lazy for demand-driven
 // splitting.
@@ -196,44 +162,24 @@ func WithPinnedWorkers(on bool) Option {
 	return poolOption(func(o *config) { o.PinWorkers = on })
 }
 
+// defaultSpin is how many failed find-work rounds a worker or a Sync
+// yields through before it blocks.
 const defaultSpin = 32
 
 // Pool is a work-stealing scheduler with a fixed set of workers.
 // Create one with NewPool, submit roots with Run, release the workers
 // with Close.
 type Pool struct {
+	victims []*worker // every slot of core: workers, then helpers
 	workers []*worker
-	helpers []*worker           // help-first submitter slots, stealable like workers
-	victims []*worker           // workers + helpers: the steal-sweep targets
-	inbox   *deque.Locked[task] // overflow submissions; stolen by any worker
+	helpers []*worker // help-first submitter slots, stealable like workers
+	core    *sched.TaskCore[task]
 	stats   *sched.Stats
-	spin    int
 	part    Partitioner
 
 	helperBusy [MaxHelpers]atomic.Bool
 	closed     atomic.Bool
 	async      sched.AsyncGroup // in-flight SubmitCtx tasks, joined by Quiesce
-
-	// freeMu guards the pool-wide overflow freelist that worker arenas
-	// spill to and refill from, so task records stolen cross-worker
-	// (and hence recycled by the thief, not the spawner) circulate back
-	// to whoever allocates next. Touched only when a local list runs
-	// dry or overflows.
-	freeMu    sync.Mutex
-	freeList  *task
-	freeCount int
-
-	// Shared hot counters, each padded onto its own cache line: every
-	// spawn and every take bumps pending, every idle transition bumps
-	// searching or parkedCount — packed together (as they used to be)
-	// the three lines' traffic collapses onto one contended line.
-	_           [sched.CacheLine]byte
-	pending     atomic.Int64 // queued-but-not-taken tasks (conservative)
-	_           [sched.CacheLine - 8]byte
-	searching   atomic.Int64 // workers in the idle find-work phase
-	_           [sched.CacheLine - 8]byte
-	parkedCount atomic.Int64 // workers currently parked (or about to)
-	_           [sched.CacheLine - 8]byte
 
 	wg sync.WaitGroup
 }
@@ -247,44 +193,29 @@ func NewPool(n int, options ...Option) *Pool {
 	for _, o := range options {
 		o.applyPool(&opts)
 	}
-	spin := opts.SpinBeforePark
-	if spin <= 0 {
-		spin = defaultSpin
-	}
 	p := &Pool{
-		workers: make([]*worker, n),
-		helpers: make([]*worker, MaxHelpers),
-		inbox:   deque.NewLocked[task](),
+		victims: make([]*worker, n+MaxHelpers),
 		stats:   sched.NewStats(n + MaxHelpers),
-		spin:    spin,
 		part:    opts.Partitioner,
 	}
-	newWorker := func(i int, help bool) *worker {
+	p.core = sched.NewTaskCore[task](n+MaxHelpers, opts.DequeKind, p.stats, opts.Tracer, true)
+	for i := range p.victims {
 		w := &worker{
-			id:   i,
-			pool: p,
-			dq:   deque.New[task](opts.DequeKind),
-			rng:  sched.NewRand(uint64(i)*0x9E3779B9 + 1),
-			st:   p.stats.Shard(i),
-			help: help,
+			TaskSlot: p.core.Slot(i),
+			id:       i,
+			pool:     p,
+			st:       p.stats.Shard(i),
+			help:     i >= n,
+			ring:     opts.Tracer.Ring(i),
 		}
-		if opts.Tracer != nil {
-			w.ring = opts.Tracer.Ring(i)
-			if help {
-				opts.Tracer.Label(i, "ws-h"+strconv.Itoa(i-n))
-			} else {
-				opts.Tracer.Label(i, "ws-w"+strconv.Itoa(i))
-			}
+		if w.help {
+			opts.Tracer.Label(i, "ws-h"+strconv.Itoa(i-n))
+		} else {
+			opts.Tracer.Label(i, "ws-w"+strconv.Itoa(i))
 		}
-		return w
+		p.victims[i] = w
 	}
-	for i := range p.workers {
-		p.workers[i] = newWorker(i, false)
-	}
-	for i := range p.helpers {
-		p.helpers[i] = newWorker(n+i, true)
-	}
-	p.victims = append(append([]*worker{}, p.workers...), p.helpers...)
+	p.workers, p.helpers = p.victims[:n], p.victims[n:]
 	for _, w := range p.workers {
 		p.wg.Add(1)
 		go func() {
@@ -302,34 +233,6 @@ func NewPool(n int, options ...Option) *Pool {
 		}()
 	}
 	return p
-}
-
-// maxFreeTasks caps each worker-local freelist; freeTransfer is the
-// batch moved between a local list and the pool-wide overflow list;
-// maxPoolFree caps the pool-wide list, beyond which records are
-// dropped for the GC — the bound that keeps a spawn storm from
-// hoarding memory forever.
-const (
-	maxFreeTasks = 256
-	freeTransfer = 64
-	maxPoolFree  = 4096
-)
-
-// alloc returns a task record from the worker's arena, refilling from
-// the pool-wide overflow list when the local list is dry; a fresh heap
-// allocation is the last resort (cold start, or churn beyond every
-// cap). Only the goroutine animating w may call it.
-func (w *worker) alloc() *task {
-	if w.free == nil {
-		w.refill()
-	}
-	if t := w.free; t != nil {
-		w.free = t.next
-		w.nfree--
-		t.next = nil
-		return t
-	}
-	return new(task)
 }
 
 // recycle resets t and returns it to the executing worker's arena.
@@ -350,76 +253,7 @@ func (w *worker) recycle(t *task) {
 	t.parent, t.reg = nil, nil
 	t.ctx = Ctx{}
 	t.own.waiter.Store(nil) // pending already drained by the implicit sync
-	if w.nfree >= maxFreeTasks {
-		w.spill()
-	}
-	t.next = w.free
-	w.free = t
-	w.nfree++
-}
-
-// refill moves up to freeTransfer records from the pool-wide list to
-// w's. Batching keeps the shared lock off the per-spawn path: it is
-// taken once per freeTransfer allocations at worst.
-func (w *worker) refill() {
-	p := w.pool
-	p.freeMu.Lock()
-	n := 0
-	for n < freeTransfer && p.freeList != nil {
-		t := p.freeList
-		p.freeList = t.next
-		t.next = w.free
-		w.free = t
-		n++
-	}
-	p.freeCount -= n
-	p.freeMu.Unlock()
-	w.nfree += n
-}
-
-// spill moves a freeTransfer batch from w's overfull local list to the
-// pool-wide list, so a worker that executes far more than it spawns
-// (the thief side of a steal-heavy run) hands records back to the
-// spawners instead of hoarding them. When the pool-wide list is at
-// capacity too, the batch is dropped for the GC.
-func (w *worker) spill() {
-	var head, tail *task
-	n := 0
-	for n < freeTransfer && w.free != nil {
-		t := w.free
-		w.free = t.next
-		t.next = head
-		if head == nil {
-			tail = t
-		}
-		head = t
-		n++
-	}
-	w.nfree -= n
-	if head == nil {
-		return
-	}
-	p := w.pool
-	p.freeMu.Lock()
-	if p.freeCount+n <= maxPoolFree {
-		tail.next = p.freeList
-		p.freeList = head
-		p.freeCount += n
-	}
-	p.freeMu.Unlock()
-}
-
-// flushFree returns the hoard beyond a one-refill stash to the
-// pool-wide list. Called on the park path (cold by definition): a
-// thief that executed stolen tasks hands their records back to the
-// spawning side as soon as it goes idle, instead of hoarding them
-// until the maxFreeTasks cap forces a spill — without this, a
-// steady spawner next to mostly-idle thieves re-allocates every
-// record the thieves absorb until their hoards fill.
-func (w *worker) flushFree() {
-	for w.nfree > freeTransfer {
-		w.spill()
-	}
+	w.Free(t)
 }
 
 // Workers reports the number of dedicated workers in the pool (not
@@ -431,7 +265,7 @@ func (p *Pool) Workers() int { return len(p.workers) }
 // gives the metrics stall watchdog its pending-work-while-parked
 // view; like the wake-up protocol itself, the value is advisory and
 // may be momentarily stale.
-func (p *Pool) ParkedWorkers() int { return int(p.parkedCount.Load()) }
+func (p *Pool) ParkedWorkers() int { return p.core.Parked() }
 
 // Partitioner reports the ForDAC loop partitioner the pool was
 // configured with.
@@ -448,9 +282,7 @@ func (p *Pool) ResetStats() { p.stats.Reset() }
 // afterwards.
 func (p *Pool) Close() {
 	p.closed.Store(true)
-	for _, w := range p.workers {
-		w.parker.Unpark()
-	}
+	p.core.WakeAll()
 	p.wg.Wait()
 }
 
@@ -496,17 +328,14 @@ func (p *Pool) RunCtx(ctx context.Context, root func(*Ctx)) error {
 		// The root task comes from the claimed helper's arena — the
 		// helper goroutine owns that freelist for the duration — so a
 		// steady-state Run allocates only its region and root frame.
-		t := hw.alloc()
+		t := hw.Alloc()
 		t.fn, t.parent, t.reg = root, f, reg
 		hw.ring.Record(tracez.KindHelpClaim, int64(hw.id-len(p.workers)), 0)
 		hw.run(t)
 		hw.syncFrame(f)
 		p.releaseHelper(hw)
 	} else {
-		t := &task{fn: root, parent: f, reg: reg}
-		p.pending.Add(1)
-		p.inbox.PushBottom(t)
-		p.signalWork()
+		p.core.Submit(&task{fn: root, parent: f, reg: reg})
 		if f.pending.Load() != 0 {
 			var pk sched.Parker
 			f.waiter.Store(&pk)
@@ -538,150 +367,30 @@ func (p *Pool) releaseHelper(hw *worker) {
 	p.helperBusy[hw.id-len(p.workers)].Store(false)
 }
 
-// signalWork wakes one parked worker, unless some worker is already
-// searching for work (it will find the new task on its sweep). This
-// pending-counter wake throttle replaces the O(workers) unparkAll
-// broadcast the scheduler used to perform on every submission.
-func (p *Pool) signalWork() {
-	if p.searching.Load() == 0 && p.parkedCount.Load() > 0 {
-		p.unparkOne()
-	}
-}
-
-// demand reports whether some worker is hungry — parked, or actively
-// searching for work. It is the signal the Lazy partitioner polls at
-// chunk boundaries to decide whether splitting off half its remaining
-// range would feed anyone.
-func (p *Pool) demand() bool {
-	return p.searching.Load() > 0 || p.parkedCount.Load() > 0
-}
-
-// unparkOne wakes one parked worker, if any.
-func (p *Pool) unparkOne() {
-	for _, w := range p.workers {
-		if w.parked.CompareAndSwap(true, false) {
-			w.parker.Unpark()
-			return
-		}
-	}
-}
-
-// loop is the worker main loop: pop own work, else steal, else park.
+// loop is the worker main loop: find work, else search for
+// defaultSpin rounds, else park until a push or Close wakes it.
 func (w *worker) loop() {
 	defer w.pool.wg.Done()
 	idle := 0
-	searching := false
-	setSearch := func(on bool) {
-		if on != searching {
-			searching = on
-			if on {
-				w.pool.searching.Add(1)
-				// Out of local work: hand the free-record hoard beyond a
-				// one-refill stash back to the pool list, so a thief's
-				// recycled records reach the spawning side promptly.
-				// flushFree is a no-op below the stash watermark, so this
-				// costs one locked batch per ~freeTransfer recycles at
-				// worst, not one per search episode.
-				w.flushFree()
-			} else {
-				w.pool.searching.Add(-1)
-			}
-		}
-	}
 	for {
-		t := w.findWork()
-		if t != nil {
-			setSearch(false)
+		if t := w.Find(); t != nil {
+			w.Search(false)
 			idle = 0
 			w.run(t)
 			continue
 		}
-		setSearch(true)
-		idle++
-		if idle < w.pool.spin {
+		w.Search(true)
+		if idle++; idle < defaultSpin {
 			runtime.Gosched()
 			continue
 		}
 		if w.pool.closed.Load() {
-			setSearch(false)
+			w.Search(false)
 			return
 		}
-		// Stop advertising as searching before publishing parked
-		// state: a submitter that reads searching == 0 is then
-		// guaranteed to read parkedCount > 0 and wake us, and the
-		// pending re-check below closes the race against a submitter
-		// that enqueued before our parked flag became visible.
-		setSearch(false)
-		w.pool.parkedCount.Add(1)
-		w.parked.Store(true)
-		if w.pool.pending.Load() > 0 || w.pool.closed.Load() {
-			w.parked.Store(false)
-			w.pool.parkedCount.Add(-1)
-			idle = 0
-			continue
-		}
-		w.flushFree()
-		w.st.CountPark()
-		w.ring.Record(tracez.KindPark, 0, 0)
-		w.parker.Park()
-		w.ring.Record(tracez.KindUnpark, 0, 0)
-		w.parked.Store(false)
-		w.pool.parkedCount.Add(-1)
 		idle = 0
+		w.Park(func() bool { return !w.pool.closed.Load() })
 	}
-}
-
-// findWork returns the next task: own deque first, then the external
-// inbox, then a randomized sweep over the other workers' (and active
-// helpers') deques. A successful steal migrates up to half the
-// victim's queue in one visit, keeping one task and requeueing the
-// rest locally where other thieves can take them.
-func (w *worker) findWork() *task {
-	if t := w.dq.PopBottom(); t != nil {
-		w.pool.pending.Add(-1)
-		return t
-	}
-	if t := w.pool.inbox.Steal(); t != nil {
-		w.pool.pending.Add(-1)
-		if w.pool.pending.Load() > 0 {
-			w.pool.signalWork()
-		}
-		return t
-	}
-	victims := w.pool.victims
-	n := len(victims)
-	start := w.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		v := victims[(start+i)%n]
-		if v == w {
-			continue
-		}
-		k := v.dq.StealHalf(w.stealBuf[:])
-		if k == 0 {
-			continue
-		}
-		w.st.CountSteal()
-		w.ring.Record(tracez.KindSteal, int64(v.id), int64(k))
-		if k > 1 {
-			w.st.CountBatchSteal(k)
-			for j := 1; j < k; j++ {
-				w.dq.PushBottom(w.stealBuf[j])
-				w.stealBuf[j] = nil
-			}
-		}
-		t := w.stealBuf[0]
-		w.stealBuf[0] = nil
-		w.pool.pending.Add(-1) // took k, requeued k-1
-		if k > 1 || w.pool.pending.Load() > 0 {
-			// The batch we just requeued (or work still queued
-			// elsewhere) can feed another thief: propagate the wake.
-			w.pool.signalWork()
-		}
-		return t
-	}
-	w.st.CountFailedSteal()
-	w.ring.Record(tracez.KindStealFail, 0, 0)
-	return nil
 }
 
 // syncFrame executes tasks until f's pending count drains, parking on
@@ -693,13 +402,13 @@ func (w *worker) findWork() *task {
 func (w *worker) syncFrame(f *frame) {
 	idle := 0
 	for f.pending.Load() > 0 {
-		if t := w.findWork(); t != nil {
+		if t := w.Find(); t != nil {
 			idle = 0
 			w.run(t)
 			continue
 		}
 		idle++
-		if idle < w.pool.spin {
+		if idle < defaultSpin {
 			runtime.Gosched()
 			continue
 		}

@@ -258,10 +258,6 @@ func NewPool(n int, options ...PoolOption) *Pool { return worksteal.NewPool(n, o
 // Intel OpenMP task runtime model).
 func WithStealBackend(k DequeKind) PoolOption { return worksteal.WithDequeKind(k) }
 
-// WithSpinBeforePark sets how many steal failures a worker tolerates
-// before parking.
-func WithSpinBeforePark(n int) PoolOption { return worksteal.WithSpinBeforePark(n) }
-
 // Partitioner selects how a Pool's ForDAC loops are decomposed.
 type Partitioner = worksteal.Partitioner
 
