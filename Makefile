@@ -19,14 +19,18 @@ race:
 # the shard resolver's routing/drain machinery, and the models and
 # serve packages, whose tests are where concurrent executor callers run
 # a busy team's loops as serialized regions) — the focused loop for
-# partitioner, balancer and idle-wait work. The last two lines run the
+# partitioner, balancer and idle-wait work. The next two lines run the
 # lock-free handshake stress tests once more: the fork-join team's
 # (the dynamic schedule's claim-and-steal, the region-end gate) and the
-# task core's push/steal/park/wake handshake both runtimes share.
+# task core's push/steal/park/wake handshake both runtimes share. The
+# last runs the loop-distribution and PathFinder benchmarks once, as
+# CI's sched-race job does: BenchmarkExtPathFinder fails unless every
+# data model's 100 x 100 000 DP equals Seq.
 race-sched:
 	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/forkjoin/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/... ./internal/models/... ./internal/serve/...
 	$(GO) test -race -count=3 -run 'TestDynamicStealStress|TestRegionEndGateStress' ./internal/forkjoin/...
 	$(GO) test -race -count=3 -run 'TestTaskCoreHandshakeStress' ./internal/sched/...
+	$(GO) test -run=NONE -bench='LoopDist|ExtPathFinder' -benchtime=1x .
 
 vet:
 	$(GO) vet ./...

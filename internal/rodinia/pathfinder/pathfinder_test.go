@@ -182,3 +182,134 @@ func TestGridView(t *testing.T) {
 		t.Fatalf("View(99).Rows = %d, want clamp to 16", v.Rows)
 	}
 }
+
+// refStep is the per-cell DP step with its edge checks inline: the
+// compare-and-branch formula, kept here as an independent reference
+// for the branch-free stepRange.
+func refStep(g *Grid, dst, src []int32, r int) {
+	row := g.Weight[r*g.Cols : (r+1)*g.Cols]
+	for j := 0; j < g.Cols; j++ {
+		best := src[j]
+		if j > 0 && src[j-1] < best {
+			best = src[j-1]
+		}
+		if j < g.Cols-1 && src[j+1] < best {
+			best = src[j+1]
+		}
+		dst[j] = row[j] + best
+	}
+}
+
+// refRows returns every row of the reference DP, row 0 included.
+func refRows(g *Grid) [][]int32 {
+	rows := [][]int32{append([]int32(nil), g.Weight[:g.Cols]...)}
+	for r := 1; r < g.Rows; r++ {
+		next := make([]int32, g.Cols)
+		refStep(g, next, rows[r-1], r)
+		rows = append(rows, next)
+	}
+	return rows
+}
+
+// chunkings returns chunk boundary lists over [0, cols) that put a
+// chunk edge at column 1 and at cols-1 (alone and together, with and
+// without a middle cut), plus all 1-column chunks. Every list starts
+// at 0 and ends at cols.
+func chunkings(cols int) [][]int {
+	out := [][]int{{0, cols}}
+	add := func(cuts ...int) {
+		b := []int{0}
+		for _, c := range cuts {
+			if c > b[len(b)-1] && c < cols {
+				b = append(b, c)
+			}
+		}
+		out = append(out, append(b, cols))
+	}
+	add(1)
+	add(cols - 1)
+	add(1, cols-1)
+	add(1, cols/2, cols-1)
+	ones := make([]int, 0, cols+1)
+	for j := 0; j <= cols; j++ {
+		ones = append(ones, j)
+	}
+	return append(out, ones)
+}
+
+var refCols = []int{1, 2, 3, 4, 5, 64, 1000}
+
+// TestStepRangeMatchesReference drives stepRange chunk by chunk over
+// several rows and checks every row against refStep. Each chunk runs
+// on a sentinel-filled row, so a chunk that skips one of its columns
+// or writes outside [lo, hi) fails too.
+func TestStepRangeMatchesReference(t *testing.T) {
+	const sentinel = -1
+	for _, cols := range refCols {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := Generate(6, cols, seed)
+			want := refRows(g)
+			for _, bounds := range chunkings(cols) {
+				cur := append([]int32(nil), want[0]...)
+				for r := 1; r < g.Rows; r++ {
+					next := make([]int32, cols)
+					for k := 0; k+1 < len(bounds); k++ {
+						lo, hi := bounds[k], bounds[k+1]
+						dst := make([]int32, cols)
+						for j := range dst {
+							dst[j] = sentinel
+						}
+						stepRange(g, dst, cur, r, lo, hi)
+						for j := range dst {
+							exp := int32(sentinel)
+							if j >= lo && j < hi {
+								exp = want[r][j]
+							}
+							if dst[j] != exp {
+								t.Fatalf("cols %d seed %d chunks %v row %d: chunk [%d,%d) col %d = %d, want %d",
+									cols, seed, bounds, r, lo, hi, j, dst[j], exp)
+							}
+						}
+						copy(next[lo:hi], dst[lo:hi])
+					}
+					cur = next
+				}
+			}
+			got := Seq(g)
+			for j := range got {
+				if got[j] != want[g.Rows-1][j] {
+					t.Fatalf("cols %d seed %d: Seq col %d = %d, want %d", cols, seed, j, got[j], want[g.Rows-1][j])
+				}
+			}
+		}
+	}
+}
+
+// TestParallelCtxGrainOneMatchesReference runs the DP through the
+// loop executors at grain 1, so chunk edges land wherever each
+// runtime's splitting puts them, and checks the final row against
+// the reference.
+func TestParallelCtxGrainOneMatchesReference(t *testing.T) {
+	for _, name := range []string{models.OMPFor, models.CilkFor} {
+		t.Run(name, func(t *testing.T) {
+			ex, err := models.NewExecutor(name, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ex.Close()
+			for _, cols := range refCols {
+				g := Generate(8, cols, 11)
+				want := refRows(g)[g.Rows-1]
+				got, err := ParallelCtx(context.Background(), ex, g, 1, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("cols %d: col %d = %d, want %d", cols, j, got[j], want[j])
+					}
+				}
+			}
+		})
+	}
+}

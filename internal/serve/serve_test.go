@@ -92,9 +92,11 @@ func TestHealthzAndStatz(t *testing.T) {
 func TestDeadlineExpiry504AndRuntimeReusable(t *testing.T) {
 	for _, name := range []string{models.OMPFor, models.CilkFor} {
 		t.Run(name, func(t *testing.T) {
-			// A big grid makes the 64-phase pathfinder request take well
-			// over the 1ms deadline on any hardware.
-			s := newTestServer(t, Config{Model: name, Threads: 2, WorkSize: 1 << 17})
+			// The request is sized by cell count, not by phases: 64
+			// phases over WorkSize/4 columns are ~8.3 M DP cells, which
+			// take 6-13 ms on two threads of a 2-core Xeon, far over the
+			// 1ms deadline.
+			s := newTestServer(t, Config{Model: name, Threads: 2, WorkSize: 1 << 19})
 			code, body := get(t, s, "/run?kernel=pathfinder&rows=64&timeout_ms=1")
 			if code != http.StatusGatewayTimeout {
 				t.Fatalf("deadline-busting request = %d: %s", code, body)
@@ -142,7 +144,9 @@ func TestAdmissionShed429(t *testing.T) {
 }
 
 func TestHedgedRequest(t *testing.T) {
-	s := newTestServer(t, Config{Model: models.CilkFor, Threads: 2, WorkSize: 1 << 12})
+	// Sized for the deadline half below, as in
+	// TestDeadlineExpiry504AndRuntimeReusable: ~8.3 M DP cells.
+	s := newTestServer(t, Config{Model: models.CilkFor, Threads: 2, WorkSize: 1 << 19})
 	code, body := get(t, s, "/hedged?kernel=sum&hedge_ms=0")
 	if code != http.StatusOK {
 		t.Fatalf("/hedged = %d: %s", code, body)
