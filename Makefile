@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test race race-sched vet lint lint-fix bench-module surface bench-smoke bench-gate metrics-smoke trace-smoke clean
+.PHONY: all build test race race-sched vet bce lint lint-fix bench-module surface bench-smoke bench-gate metrics-smoke trace-smoke clean
 
-all: build vet lint test race bench-module bench-gate metrics-smoke
+all: build vet bce lint test race bench-module bench-gate metrics-smoke
 
 build:
 	$(GO) build ./...
@@ -23,17 +23,32 @@ race:
 # lock-free handshake stress tests once more: the fork-join team's
 # (the dynamic schedule's claim-and-steal, the region-end gate) and the
 # task core's push/steal/park/wake handshake both runtimes share. The
-# last runs the loop-distribution and PathFinder benchmarks once, as
-# CI's sched-race job does: BenchmarkExtPathFinder fails unless every
-# data model's 100 x 100 000 DP equals Seq.
+# last two run the loop-distribution, PathFinder and serve kernel
+# benchmarks once, as CI's sched-race job does: BenchmarkExtPathFinder
+# fails unless every data model's 100 x 100 000 DP equals Seq, and
+# BenchmarkServeKernels unless every serve chunk body matches its naive
+# loop at 2^17 elements.
 race-sched:
 	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/forkjoin/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/... ./internal/models/... ./internal/serve/...
 	$(GO) test -race -count=3 -run 'TestDynamicStealStress|TestRegionEndGateStress' ./internal/forkjoin/...
 	$(GO) test -race -count=3 -run 'TestTaskCoreHandshakeStress' ./internal/sched/...
 	$(GO) test -run=NONE -bench='LoopDist|ExtPathFinder' -benchtime=1x .
+	$(GO) test -run=NONE -bench=ServeKernels -benchtime=1x ./internal/serve/
 
 vet:
 	$(GO) vet ./...
+
+# The serve's vector chunk bodies (internal/serve/kernels.go) must
+# compile without an indexed bounds check: the compiler's check_bce
+# debug output may list the re-slices at function entry
+# (IsSliceInBounds) but no IsInBounds in that file. An index the
+# compiler cannot prove puts a compare and branch back on every element.
+bce:
+	@out=$$($(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/serve/ 2>&1) || { echo "$$out"; exit 1; }; \
+	if echo "$$out" | grep 'serve/kernels.go:.*Found IsInBounds'; then \
+		echo "bce: indexed bounds checks in internal/serve/kernels.go"; exit 1; \
+	fi; \
+	echo "bce: internal/serve/kernels.go has no indexed bounds check"
 
 # threadvet: the repo's own go/analysis-style suite enforcing the
 # runtimes' concurrency contracts (joinleak, ctxdrop, lockspawn,

@@ -430,7 +430,7 @@ func TestScheduleString(t *testing.T) {
 func TestStatsCount(t *testing.T) {
 	tm := NewTeam(2)
 	defer tm.Close()
-	tm.ResetStats()
+	before := tm.Stats()
 	tm.Parallel(func(tc *Ctx) {
 		tc.Master(func() {
 			for i := 0; i < 10; i++ {
@@ -439,7 +439,7 @@ func TestStatsCount(t *testing.T) {
 			tc.Taskwait()
 		})
 	})
-	s := tm.Stats()
+	s := tm.Stats().Delta(before)
 	if s.Spawns != 10 || s.TasksExecuted != 10 {
 		t.Fatalf("stats = %+v, want 10 spawns and 10 executions", s)
 	}

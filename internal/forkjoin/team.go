@@ -274,9 +274,6 @@ func (t *Team) DefaultSchedule() Schedule { return t.opts.DefaultSchedule }
 // Stats returns a snapshot of the runtime counters.
 func (t *Team) Stats() sched.Snapshot { return t.stats.Snapshot() }
 
-// ResetStats zeroes the runtime counters.
-func (t *Team) ResetStats() { t.stats.Reset() }
-
 // Close releases the worker goroutines. The team must not be used
 // afterwards.
 func (t *Team) Close() {

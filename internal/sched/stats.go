@@ -14,7 +14,7 @@ const CacheLine = 64
 // Stats aggregates scheduler event counters, sharded per worker so
 // that hot paths (a counter bump per spawned task) never contend on a
 // shared cache line. Workers obtain their Shard once and count
-// through it; Snapshot and Reset fold over all shards.
+// through it; Snapshot folds over all shards.
 //
 // The zero Stats has no shards and silently counts nothing through
 // the aggregate helpers; construct with NewStats.
@@ -135,9 +135,8 @@ func (s *Stats) Snapshot() Snapshot {
 
 // Delta returns the counter increments between prev and s: the
 // activity of the interval that started when prev was taken. Callers
-// bracket a region with two Snapshots and subtract, instead of
-// Resetting shared counters (which would race concurrent regions and
-// lose history).
+// bracket a region with two Snapshots and subtract: the counters are
+// never zeroed, which would race concurrent regions and lose history.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	return Snapshot{
 		TasksExecuted:  s.TasksExecuted - prev.TasksExecuted,
@@ -195,23 +194,5 @@ func (s Snapshot) Fields() []Field {
 		{"barriers", s.BarrierWaits},
 		{"loop-chunks", s.LoopChunks},
 		{"lazy-splits", s.LazySplits},
-	}
-}
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.tasksExecuted.Store(0)
-		sh.spawns.Store(0)
-		sh.steals.Store(0)
-		sh.failedSteals.Store(0)
-		sh.parks.Store(0)
-		sh.barrierWaits.Store(0)
-		sh.loopChunks.Store(0)
-		sh.lazySplits.Store(0)
-		sh.batchSteals.Store(0)
-		sh.batchStolen.Store(0)
-		sh.helpFirst.Store(0)
 	}
 }

@@ -138,12 +138,7 @@ func (s *Server) run(ctx context.Context, req kernelReq) (float64, error) {
 func (s *Server) sumRange(ctx context.Context, lo, hi int) (float64, error) {
 	w := s.work
 	return s.exec.ParallelReduceCtx(ctx, lo, hi, s.cfg.Grain, 0,
-		func(l, h int, acc float64) float64 {
-			for i := l; i < h; i++ {
-				acc += w.x[i]
-			}
-			return acc
-		},
+		func(l, h int, acc float64) float64 { return acc + sumChunk(w.x[l:h]) },
 		func(a, b float64) float64 { return a + b })
 }
 
@@ -154,9 +149,7 @@ func (s *Server) axpy(ctx context.Context, n int) (float64, error) {
 	out := *outp
 	const a = 2.5
 	err := s.exec.ParallelForCtx(ctx, 0, n, s.cfg.Grain, func(l, h int) {
-		for i := l; i < h; i++ {
-			out[i] = a*w.x[i] + w.y[i]
-		}
+		axpyChunk(a, w.x[l:h], w.y[l:h], out[l:h])
 	})
 	if err != nil {
 		return 0, err
@@ -171,12 +164,7 @@ func (s *Server) matvec(ctx context.Context, n int) (float64, error) {
 	out := *outp
 	err := s.exec.ParallelForCtx(ctx, 0, n, s.cfg.Grain, func(l, h int) {
 		for r := l; r < h; r++ {
-			row := w.mat[r*w.matN : r*w.matN+n]
-			var acc float64
-			for j, v := range row {
-				acc += v * w.x[j]
-			}
-			out[r] = acc
+			out[r] = dotRow(w.mat[r*w.matN:r*w.matN+n], w.x)
 		}
 	})
 	if err != nil {

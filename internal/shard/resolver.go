@@ -520,10 +520,9 @@ type Stat struct {
 	Snapshot sched.Snapshot
 }
 
-// statser and resetter are the optional stats surfaces of the
-// underlying runtimes, asserted per shard.
+// statser is the optional stats surface of the underlying runtimes,
+// asserted per shard.
 type statser interface{ Stats() sched.Snapshot }
-type resetter interface{ ResetStats() }
 
 // ShardStats returns each routable shard's counter snapshot in shard
 // id order. Shards whose executor exposes no Stats method are omitted.
@@ -548,16 +547,4 @@ func (r *Resolver) Stats() sched.Snapshot {
 		sum = sum.Add(st.Snapshot)
 	}
 	return sum
-}
-
-// ResetStats zeroes every routable shard's counters.
-func (r *Resolver) ResetStats() {
-	r.mu.Lock()
-	shards := r.live
-	r.mu.Unlock()
-	for _, h := range shards {
-		if rs, ok := h.exec.(resetter); ok {
-			rs.ResetStats()
-		}
-	}
 }

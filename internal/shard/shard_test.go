@@ -214,9 +214,12 @@ func TestShardStats(t *testing.T) {
 	if tasks == 0 && chunks == 0 {
 		t.Fatal("no shard recorded any activity")
 	}
-	r.ResetStats()
-	if after := r.Stats(); after.TasksExecuted != 0 {
-		t.Fatalf("ResetStats left %d tasks", after.TasksExecuted)
+	// A second loop shows in the delta of two merged snapshots.
+	if err := r.ParallelForCtx(context.Background(), 0, 4096, 16, func(_, _ int) {}); err != nil {
+		t.Fatalf("ParallelForCtx: %v", err)
+	}
+	if d := r.Stats().Delta(merged); d.TasksExecuted+d.LoopChunks == 0 {
+		t.Fatalf("second loop recorded no activity: delta %+v", d)
 	}
 }
 

@@ -274,9 +274,6 @@ func (p *Pool) Partitioner() Partitioner { return p.part }
 // Stats returns a snapshot of the scheduler counters.
 func (p *Pool) Stats() sched.Snapshot { return p.stats.Snapshot() }
 
-// ResetStats zeroes the scheduler counters.
-func (p *Pool) ResetStats() { p.stats.Reset() }
-
 // Close shuts the pool down. Outstanding Run calls must have returned;
 // Close waits for all workers to exit. The pool must not be used
 // afterwards.

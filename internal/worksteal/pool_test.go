@@ -280,22 +280,29 @@ func TestConcurrentRuns(t *testing.T) {
 func TestStatsRecorded(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	p.Run(func(c *Ctx) {
-		for i := 0; i < 50; i++ {
-			c.Spawn(func(cc *Ctx) {})
+	run := func() {
+		p.Run(func(c *Ctx) {
+			for i := 0; i < 50; i++ {
+				c.Spawn(func(cc *Ctx) {})
+			}
+			c.Sync()
+		})
+	}
+	// Two runs, each read as the delta of two snapshots: the counters
+	// accumulate, and the second run's delta counts only its own work.
+	for i := 0; i < 2; i++ {
+		before := p.Stats()
+		run()
+		s := p.Stats().Delta(before)
+		if s.Spawns != 50 {
+			t.Errorf("run %d: Spawns = %d, want 50", i, s.Spawns)
 		}
-		c.Sync()
-	})
-	s := p.Stats()
-	if s.Spawns != 50 {
-		t.Errorf("Spawns = %d, want 50", s.Spawns)
+		if s.TasksExecuted != 51 { // 50 children + root
+			t.Errorf("run %d: TasksExecuted = %d, want 51", i, s.TasksExecuted)
+		}
 	}
-	if s.TasksExecuted != 51 { // 50 children + root
-		t.Errorf("TasksExecuted = %d, want 51", s.TasksExecuted)
-	}
-	p.ResetStats()
-	if p.Stats().Spawns != 0 {
-		t.Error("ResetStats left residue")
+	if s := p.Stats(); s.Spawns != 100 {
+		t.Errorf("cumulative Spawns = %d, want 100", s.Spawns)
 	}
 }
 
