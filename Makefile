@@ -21,8 +21,9 @@ race:
 # a busy team's loops as serialized regions) — the focused loop for
 # partitioner, balancer and idle-wait work. The next two lines run the
 # lock-free handshake stress tests once more: the fork-join team's
-# (the dynamic schedule's claim-and-steal, the region-end gate) and the
-# task core's push/steal/park/wake handshake both runtimes share. The
+# (the dynamic schedule's claim-and-steal, the region-end gate, region
+# entry's poll-then-park wait) and the task core's push/steal/park/wake
+# handshake both runtimes share. The
 # last two run the loop-distribution, PathFinder and serve kernel
 # benchmarks once, as CI's sched-race job does: BenchmarkExtPathFinder
 # fails unless every data model's 100 x 100 000 DP equals Seq, and
@@ -30,13 +31,15 @@ race:
 # loop at 2^17 elements.
 race-sched:
 	$(GO) test -race -count=2 ./internal/worksteal/... ./internal/forkjoin/... ./internal/deque/... ./internal/sched/... ./internal/futures/... ./internal/shard/... ./internal/models/... ./internal/serve/...
-	$(GO) test -race -count=3 -run 'TestDynamicStealStress|TestRegionEndGateStress' ./internal/forkjoin/...
+	$(GO) test -race -count=3 -run 'TestDynamicStealStress|TestRegionEndGateStress|TestRegionEntryParkStress' ./internal/forkjoin/...
 	$(GO) test -race -count=3 -run 'TestTaskCoreHandshakeStress' ./internal/sched/...
 	$(GO) test -run=NONE -bench='LoopDist|ExtPathFinder' -benchtime=1x .
 	$(GO) test -run=NONE -bench=ServeKernels -benchtime=1x ./internal/serve/
 
+# go vet, then gofmt: fails listing any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # The serve's vector chunk bodies (internal/serve/kernels.go) must
 # compile without an indexed bounds check: the compiler's check_bce

@@ -86,7 +86,7 @@ type orderEdge struct {
 const maxSummary = 256
 
 type summary struct {
-	acquires map[string]string    // class -> display
+	acquires map[string]string       // class -> display
 	edges    map[[2]string]orderEdge // (from,to) -> first edge
 }
 

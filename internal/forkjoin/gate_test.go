@@ -49,7 +49,8 @@ func TestRegionEndRunsLateSpawnedTasks(t *testing.T) {
 // gate), nested Taskwaits and TaskDepend chains, and regions canceled
 // or panicking while members are parked. Every task runs exactly once
 // in a clean region and at most once in a failed one, the team stays
-// reusable, and Close leaves no goroutine behind.
+// reusable, members park at the gate itself (not only between regions),
+// and Close leaves no goroutine behind.
 func TestRegionEndGateStress(t *testing.T) {
 	regions := 2000
 	if testing.Short() {
@@ -58,6 +59,7 @@ func TestRegionEndGateStress(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, n := range []int{2, 3, 4} {
 		tm := NewTeam(n)
+		var gateParks int64
 		for i := 0; i < regions; i++ {
 			var s stressRegion
 			var err error
@@ -87,8 +89,9 @@ func TestRegionEndGateStress(t *testing.T) {
 			if bad := s.disorder.Load(); bad != 0 {
 				t.Fatalf("n=%d region %d: %d dependence-chain tasks ran out of order", n, i, bad)
 			}
+			gateParks += s.gateParks
 		}
-		if tm.Stats().Parks == 0 {
+		if gateParks == 0 {
 			t.Fatalf("n=%d: no member parked at the gate in %d regions", n, regions)
 		}
 		tm.Close()
@@ -108,6 +111,10 @@ type stressRegion struct {
 	hits     [512]atomic.Int32
 	next     atomic.Int32
 	disorder atomic.Int32
+
+	entered   atomic.Int32 // non-master members inside the region (sleepAtGate)
+	release   atomic.Bool  // member 0 has read the park count
+	gateParks int64        // parks counted at the gate (sleepAtGate)
 }
 
 // task spawns body as an explicit task that records its run.
@@ -179,8 +186,8 @@ func (s *stressRegion) canceled(tm *Team) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	return tm.ParallelCtx(ctx, func(tc *Ctx) {
+		s.sleepAtGate(tc, tm)
 		tc.Master(func() {
-			awaitSleepers(tm, int32(tm.Size()-1))
 			for k := 0; k < 4; k++ {
 				s.task(tc, func(*Ctx) {})
 			}
@@ -196,8 +203,8 @@ func (s *stressRegion) canceled(tm *Team) error {
 // the other members are parked at the gate, panics among siblings.
 func (s *stressRegion) panicking(tm *Team) error {
 	return tm.ParallelCtx(context.Background(), func(tc *Ctx) {
+		s.sleepAtGate(tc, tm)
 		tc.Master(func() {
-			awaitSleepers(tm, int32(tm.Size()-1))
 			for k := 0; k < 6; k++ {
 				if k == 2 {
 					s.task(tc, func(*Ctx) { panic("gate-boom") })
@@ -209,11 +216,103 @@ func (s *stressRegion) panicking(tm *Team) error {
 	})
 }
 
+// sleepAtGate opens a region on every member and returns on member 0
+// once the others are parked at the region-end gate, with s.gateParks
+// set to the parks counted since they entered the region. Member 0
+// reads the base count only when every other member is inside the
+// region body, so their waits for this region, parks included, are
+// already in it, and before it releases them to the gate, so no gate
+// park is.
+func (s *stressRegion) sleepAtGate(tc *Ctx, tm *Team) {
+	if tc.ID() != 0 {
+		s.entered.Add(1)
+		for !s.release.Load() {
+			runtime.Gosched()
+		}
+		return
+	}
+	for s.entered.Load() < int32(tm.Size()-1) {
+		runtime.Gosched()
+	}
+	base := tm.Stats().Parks
+	s.release.Store(true)
+	awaitSleepers(tm, int32(tm.Size()-1))
+	s.gateParks = tm.Stats().Parks - base
+}
+
 // awaitSleepers waits, for at most 100 ms, until want members are
-// parked or parking at tm's region-end gate.
+// parked or parking: at tm's region-end gate, or not yet back from
+// their wait for the region.
 func awaitSleepers(tm *Team, want int32) {
 	deadline := time.Now().Add(100 * time.Millisecond)
 	for int32(tm.core.Parked()) < want && time.Now().Before(deadline) {
 		runtime.Gosched()
+	}
+}
+
+// TestRegionEntryParkStress drives region entry through thousands of
+// short regions on teams of 2, 3 and 4. Between regions the master
+// idles 0, half of sched.IdleSpin or twice it, so members take the next
+// region while polling, while publishing a park, or parked; a team is
+// closed after a random number of regions (none, sometimes) and a
+// random idle gap, so Close also meets polling and parked members.
+// Every member runs every region exactly once, nothing hangs past the
+// deadline, and each Close leaves no goroutine behind.
+func TestRegionEntryParkStress(t *testing.T) {
+	regions := 3000
+	if testing.Short() {
+		regions = 300
+	}
+	gaps := [...]time.Duration{0, sched.IdleSpin / 2, 2 * sched.IdleSpin}
+	rng := sched.NewRand(32)
+	idle := func() {
+		gap := gaps[rng.Intn(len(gaps))]
+		for start := time.Now(); time.Since(start) < gap; {
+			runtime.Gosched()
+		}
+	}
+	base := runtime.NumGoroutine()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, n := range []int{2, 3, 4} {
+			for left := regions; left > 0; {
+				tm := NewTeam(n)
+				var runs [4]atomic.Int32
+				k := min(rng.Intn(100), left)
+				for i := 1; i <= k; i++ {
+					idle()
+					tm.Parallel(func(tc *Ctx) { runs[tc.ID()].Add(1) })
+					for id := 0; id < n; id++ {
+						if got := runs[id].Load(); got != int32(i) {
+							t.Errorf("n=%d: member %d ran %d regions of %d", n, id, got, i)
+							return
+						}
+					}
+				}
+				left -= k
+				idle()
+				tm.Close()
+				for id := 0; id < n; id++ {
+					if got := runs[id].Load(); got != int32(k) {
+						t.Errorf("n=%d: member %d ran %d regions of %d by Close", n, id, got, k)
+						return
+					}
+				}
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > base+1 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if g := runtime.NumGoroutine(); g > base+1 {
+					t.Errorf("n=%d: %d goroutines after Close, %d before the test", n, g-1, base)
+					return
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("region entry or Close hung")
 	}
 }

@@ -120,9 +120,10 @@ func WithPinnedWorkers(on bool) Option {
 
 // Team is a fixed-size group of workers executing parallel regions.
 // The calling goroutine acts as member 0 (the master); members
-// 1..n-1 are persistent goroutines that block between regions, so a
-// region launch costs one channel send per worker, not a goroutine
-// spawn — the fork-join model's "fork".
+// 1..n-1 are persistent goroutines that wait between regions, so a
+// region launch is one pointer store and, for members that have
+// parked, a wake through the task core — not a goroutine spawn: the
+// fork-join model's "fork".
 //
 // A Team is not safe for concurrent Parallel calls and regions must
 // not nest; this mirrors the single-level OpenMP usage the paper
@@ -144,6 +145,10 @@ type Team struct {
 	// serialized region on the caller instead (executor.go).
 	inRegion atomic.Bool
 	closed   atomic.Bool
+	// cur is the region last posted; members wait for it to differ from
+	// the one they last ran. It keeps that region reachable until the
+	// next is posted.
+	cur atomic.Pointer[region]
 
 	// outstanding is bumped twice per explicit task, by whichever
 	// members create and finish it; padded onto its own cache line so
@@ -157,13 +162,13 @@ type Team struct {
 }
 
 // member is one team participant, animating its slot of the team's
-// task core. Member 0 has no cmds channel: it is driven directly by
-// Parallel on the calling goroutine.
+// task core. Member 0 does not wait for regions: it is driven directly
+// by Parallel on the calling goroutine.
 type member struct {
 	*sched.TaskSlot[task]
 	id   int
 	team *Team
-	cmds chan *region
+	last *region // the region this member ran last
 	st   *sched.Shard
 	cur  *taskNode     // node whose children a taskwait would join
 	reg  *sched.Region // cancellation state of the region being run
@@ -182,10 +187,8 @@ type region struct {
 	singles map[int]*singleDesc
 }
 
-// defaultDrainSpin bounds the waiting at task scheduling points:
-// Taskwait polls for this many failed find-work rounds between
-// yields, and the region-end gate yields for this many rounds with no
-// task live before it parks.
+// defaultDrainSpin is how many failed find-work rounds Taskwait polls
+// between yields.
 const defaultDrainSpin = 64
 
 // NewTeam creates a team of n members (including the master). n must
@@ -219,9 +222,6 @@ func NewTeam(n int, options ...Option) *Team {
 			ring:     opts.Tracer.Ring(i),
 		}
 		opts.Tracer.Label(i, "fj-m"+strconv.Itoa(i))
-		if i > 0 {
-			m.cmds = make(chan *region)
-		}
 		t.members[i] = m
 	}
 	for i := 1; i < n; i++ {
@@ -280,9 +280,7 @@ func (t *Team) Close() {
 	if t.closed.Swap(true) {
 		return
 	}
-	for i := 1; i < t.n; i++ {
-		close(t.members[i].cmds)
-	}
+	t.core.WakeAll()
 	t.wg.Wait()
 }
 
@@ -337,18 +335,31 @@ func (t *Team) tryParallel(ctx context.Context, fn func(tc *Ctx)) (bool, error) 
 		loops:   make(map[int]*loopDesc),
 		singles: make(map[int]*singleDesc),
 	}
-	for i := 1; i < t.n; i++ {
-		t.members[i].cmds <- r
-	}
+	t.cur.Store(r)
+	t.core.WakeAll()
 	t.members[0].runRegion(r)
 	return true, r.reg.Finish()
 }
 
-// loop is the worker main loop: run regions until the team closes.
+// loop is the worker main loop: run each region posted in cur until
+// the team closes, waiting in between through Idle — polling, then
+// parked until tryParallel's or Close's WakeAll. A region posted
+// before Close is run first; tryParallel returns only after every
+// member has run it.
 func (m *member) loop() {
-	defer m.team.wg.Done()
-	for r := range m.cmds {
-		m.runRegion(r)
+	t := m.team
+	defer t.wg.Done()
+	idle := func() bool { return t.cur.Load() == m.last && !t.closed.Load() }
+	for {
+		if r := t.cur.Load(); r != m.last {
+			m.last = r
+			m.runRegion(r)
+			continue
+		}
+		if t.closed.Load() {
+			return
+		}
+		m.Idle(idle)
 	}
 }
 
@@ -403,15 +414,15 @@ func (m *member) runRegion(r *region) {
 // must still be there to take those tasks, so it waits here rather
 // than in the barrier. While tasks are live it keeps looking for one,
 // yielding after each miss; while none is live and a body is still
-// running it yields for defaultDrainSpin rounds, then parks through
-// the core until a push or the last arrival's WakeAll wakes it.
+// running it waits through Idle, polling and then parked until a push
+// or the last arrival's WakeAll wakes it.
 func (m *member) awaitRegionEnd(tc *Ctx, r *region) {
 	t := m.team
 	n := int64(t.n)
 	if r.arrived.Add(1) == n {
 		t.core.WakeAll()
 	}
-	idle := 0
+	idle := func() bool { return t.outstanding.Load() == 0 && r.arrived.Load() < n }
 	for {
 		// The gate is checked before Find, so a region without tasks
 		// takes no deque lock and counts no failed steal here.
@@ -421,18 +432,12 @@ func (m *member) awaitRegionEnd(tc *Ctx, r *region) {
 			} else {
 				runtime.Gosched()
 			}
-			idle = 0
 			continue
 		}
 		if r.arrived.Load() == n {
 			return
 		}
-		if idle++; idle < defaultDrainSpin {
-			runtime.Gosched()
-			continue
-		}
-		idle = 0
-		m.Park(func() bool { return t.outstanding.Load() == 0 && r.arrived.Load() < n })
+		m.Idle(idle)
 	}
 }
 

@@ -2,7 +2,9 @@ package forkjoin
 
 import (
 	"testing"
+	"time"
 
+	"threading/internal/sched"
 	"threading/internal/tracez"
 )
 
@@ -57,6 +59,52 @@ func TestTeamTracingRecordsEvents(t *testing.T) {
 	if counts[tracez.KindPark] != counts[tracez.KindUnpark] {
 		t.Fatalf("park spans unbalanced: %d parks, %d unparks",
 			counts[tracez.KindPark], counts[tracez.KindUnpark])
+	}
+}
+
+// A team left idle for longer than sched.IdleSpin between two regions
+// parks each non-master member once in the gap: one KindPark and one
+// KindUnpark between its last barrier of the first region and its
+// chunk of the second, and the park counter agrees with the trace.
+func TestTeamTracingParksBetweenRegions(t *testing.T) {
+	const n = 3
+	tr := tracez.New(1 << 12)
+	tm := NewTeam(n, WithTracer(tr))
+	region := func() {
+		tm.Parallel(func(tc *Ctx) { tc.ForRange(Static, 0, n, func(int, int) {}) })
+	}
+	region()
+	time.Sleep(20 * sched.IdleSpin)
+	region()
+	tm.Close()
+
+	var traced int64
+	for _, wt := range tr.Snapshot().Workers {
+		parks, unparks, chunks := 0, 0, 0
+		for _, e := range wt.Events {
+			switch e.Kind {
+			case tracez.KindPark:
+				traced++
+				parks++
+			case tracez.KindUnpark:
+				unparks++
+			case tracez.KindBarrierEnd:
+				if chunks < 2 {
+					parks, unparks = 0, 0
+				}
+			case tracez.KindChunkStart:
+				if chunks++; chunks == 2 && wt.ID != 0 && (parks != 1 || unparks != 1) {
+					t.Errorf("member %d: %d parks and %d unparks between the regions, want 1 and 1",
+						wt.ID, parks, unparks)
+				}
+			}
+		}
+		if chunks != 2 {
+			t.Errorf("member %d ran %d chunks, want 2", wt.ID, chunks)
+		}
+	}
+	if got := tm.Stats().Parks; got != traced {
+		t.Fatalf("Stats().Parks = %d, trace has %d KindPark events", got, traced)
 	}
 }
 

@@ -163,7 +163,12 @@ func WithPinnedWorkers(on bool) Option {
 }
 
 // defaultSpin is how many failed find-work rounds a worker or a Sync
-// yields through before it blocks.
+// yields through before it blocks. It stays a round count, unlike the
+// fork-join team's sched.IdleSpin: a pool worker's round is a sweep
+// over every victim's deque, and while it searches Push wakes nobody,
+// so spinning for a time budget instead (100 us) kept workers
+// sweeping, suppressed the wakes and slowed fine-grained loops
+// (loops-fine steal p50 +15 % on 2 vCPUs). The team's waits only read one word.
 const defaultSpin = 32
 
 // Pool is a work-stealing scheduler with a fixed set of workers.
