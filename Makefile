@@ -56,9 +56,13 @@ bce:
 # threadvet: the repo's own go/analysis-style suite enforcing the
 # runtimes' concurrency contracts (joinleak, ctxdrop, lockspawn,
 # atomicmix, grainconst, lockorder, blockingtask, racecapture,
-# handlereuse). Fails on any unsuppressed diagnostic.
+# handlereuse). Fails on any unsuppressed diagnostic. Then
+# TestNoOrphans, the whole-program check that every declaration under
+# internal/ has a caller outside tests (exempt one with
+# //threadvet:ignore orphan <reason>).
 lint:
 	$(GO) run ./cmd/threadvet ./...
+	$(GO) test -run TestNoOrphans ./internal/analysis/
 
 # Apply threadvet's suggested fixes in place (ctxdrop call rewrites,
 # redundant-Close deletion, ...) and report the findings that need a
@@ -87,12 +91,14 @@ bench-module:
 		*) echo "bench-module: $$w: $$last"; exit 1 ;; esac; \
 	done
 
-# The three size figures CHANGES.md quotes for surface-reducing PRs:
+# The four size figures CHANGES.md quotes for surface-reducing PRs:
 # non-test Go lines outside benchmark/ and testdata/, and the exported
-# symbol listings of internal/models and of the root package.
+# symbol listings of internal/models, of every internal/ package
+# together, and of the root package.
 surface:
 	@printf 'non-test Go lines:       '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
 	@printf 'go doc internal/models:  '; $(GO) doc -short ./internal/models | wc -l
+	@printf 'go doc internal/...:     '; for p in $$($(GO) list ./internal/...); do $(GO) doc -short $$p; done | wc -l
 	@printf 'go doc root package:     '; $(GO) doc -short . | wc -l
 
 # A fast, single-repetition pass over two figures — enough to catch a

@@ -1,6 +1,6 @@
 // Package blockingtask reports tasks handed to a fixed-width worker
 // pool whose bodies — directly or through any depth of calls — block:
-// time.Sleep, Wait on a WaitGroup/Cond/Latch/Barrier, joining a
+// time.Sleep, Wait on a WaitGroup/Cond/Barrier, joining a
 // thread, quiescing a pool, provably unbuffered channel operations,
 // or well-known blocking syscalls (exec, net dials, HTTP).
 //
@@ -84,7 +84,6 @@ var blockingFuncs = map[string]map[string]map[string]string{
 		"Cond":      {"Wait": "sync.Cond.Wait"},
 	},
 	"threading/internal/syncprim": {
-		"Latch":          {"Wait": "syncprim.Latch.Wait"},
 		"SenseBarrier":   {"Wait": "syncprim.SenseBarrier.Wait"},
 		"CentralBarrier": {"Wait": "syncprim.CentralBarrier.Wait"},
 	},

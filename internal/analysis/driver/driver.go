@@ -118,14 +118,6 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 	return out, nil
 }
 
-// AnalyzePackage applies analyzers to one loaded package with a
-// fresh fact store. Single-package convenience over
-// AnalyzePackageFacts; fact-driven analyzers see only this package's
-// own exports.
-func AnalyzePackage(fset *token.FileSet, pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	return AnalyzePackageFacts(fset, pkg, analyzers, analysis.NewFactStore())
-}
-
 // AnalyzePackageFacts applies analyzers to one loaded package,
 // reading and writing cross-package facts through facts, and returns
 // the findings that survive the package's ignore directives, sorted

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"threading/internal/analysis"
 	"threading/internal/analysis/driver"
 	"threading/internal/analysis/load"
 )
@@ -38,7 +39,7 @@ func analyzeFixture(t *testing.T) []driver.Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := driver.AnalyzePackage(l.Fset(), pkg, driver.All)
+	findings, err := driver.AnalyzePackageFacts(l.Fset(), pkg, driver.All, analysis.NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}

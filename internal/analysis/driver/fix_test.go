@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"threading/internal/analysis"
 	"threading/internal/analysis/driver"
 	"threading/internal/analysis/load"
 )
@@ -41,7 +42,7 @@ func analyzeDir(t *testing.T, dir string) []driver.Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := driver.AnalyzePackage(l.Fset(), pkg, driver.All)
+	findings, err := driver.AnalyzePackageFacts(l.Fset(), pkg, driver.All, analysis.NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -79,37 +78,6 @@ func (s *FactStore) Import(obj types.Object, ptr Fact) bool {
 	}
 	reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
-}
-
-// Len returns the number of stored facts (for tests and -debug
-// output).
-func (s *FactStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-// Keys returns the sorted object keys holding at least one fact (for
-// tests).
-func (s *FactStore) Keys() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	seen := make(map[string]bool, len(s.m))
-	for k := range s.m {
-		seen[k.obj] = true
-	}
-	s.mu.RUnlock()
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ObjectKey renders a stable cross-package identity for obj. For

@@ -51,9 +51,9 @@ func TestFactRoundTrip(t *testing.T) {
 	if len(pkgs) != 1 {
 		t.Fatalf("loaded %d packages, want 1", len(pkgs))
 	}
-	obj := pkgs[0].Types.Scope().Lookup("NewLatch")
+	obj := pkgs[0].Types.Scope().Lookup("NewSenseBarrier")
 	if obj == nil {
-		t.Fatal("syncprim.NewLatch not found")
+		t.Fatal("syncprim.NewSenseBarrier not found")
 	}
 
 	s := analysis.NewFactStore()
@@ -93,11 +93,11 @@ func TestFactCrossPackageIdentity(t *testing.T) {
 	for _, p := range pkgs {
 		switch p.ImportPath {
 		case "threading/internal/syncprim":
-			srcObj = p.Types.Scope().Lookup("NewLatch")
+			srcObj = p.Types.Scope().Lookup("NewSenseBarrier")
 		case "threading/internal/forkjoin":
 			for _, imp := range p.Types.Imports() {
 				if imp.Path() == "threading/internal/syncprim" {
-					expObj = imp.Scope().Lookup("NewLatch")
+					expObj = imp.Scope().Lookup("NewSenseBarrier")
 				}
 			}
 		}
@@ -129,11 +129,11 @@ func TestObjectKeyMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	scope := pkgs[0].Types.Scope()
-	latch := scope.Lookup("Latch")
-	if latch == nil {
-		t.Fatal("Latch not found")
+	barrier := scope.Lookup("SenseBarrier")
+	if barrier == nil {
+		t.Fatal("SenseBarrier not found")
 	}
-	named := latch.Type().(*types.Named)
+	named := barrier.Type().(*types.Named)
 	var wait types.Object
 	for i := 0; i < named.NumMethods(); i++ {
 		if named.Method(i).Name() == "Wait" {
@@ -141,10 +141,10 @@ func TestObjectKeyMethods(t *testing.T) {
 		}
 	}
 	if wait == nil {
-		t.Fatal("Latch.Wait not found")
+		t.Fatal("SenseBarrier.Wait not found")
 	}
-	want := "threading/internal/syncprim.Latch.Wait"
+	want := "threading/internal/syncprim.SenseBarrier.Wait"
 	if got := analysis.ObjectKey(wait); got != want {
-		t.Fatalf("ObjectKey(Latch.Wait) = %q, want %q", got, want)
+		t.Fatalf("ObjectKey(SenseBarrier.Wait) = %q, want %q", got, want)
 	}
 }

@@ -176,36 +176,6 @@ func Tables() []*Table {
 	return []*Table{TableI(), TableII(), TableIII()}
 }
 
-// Lookup finds the table containing feature f.
-func Lookup(f Feature) (*Table, bool) {
-	for _, t := range Tables() {
-		for _, c := range t.Columns {
-			if c == f {
-				return t, true
-			}
-		}
-	}
-	return nil, false
-}
-
-// Supports reports whether the paper marks (api, feature) supported,
-// searching all three tables.
-func Supports(api API, f Feature) bool {
-	t, ok := Lookup(f)
-	return ok && t.Supports(api, f)
-}
-
-// SupportedAPIs returns the APIs supporting f, in row order.
-func SupportedAPIs(f Feature) []API {
-	var out []API
-	for _, api := range APIs() {
-		if Supports(api, f) {
-			out = append(out, api)
-		}
-	}
-	return out
-}
-
 // FeatureCount returns how many of the features across all tables the
 // API supports — the paper's observation that OpenMP is the most
 // comprehensive model is this count's ordering.

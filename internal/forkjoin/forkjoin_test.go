@@ -93,7 +93,7 @@ func TestForStaticChunkedCoverage(t *testing.T) {
 func TestForSchedulesCoverEveryIteration(t *testing.T) {
 	schedules := map[string]Schedule{
 		"static":         Static,
-		"static-chunked": StaticChunked(7),
+		"static-chunked": {Kind: ScheduleStatic, Chunk: 7},
 		"dynamic":        Dynamic(13),
 		"dynamic-1":      Dynamic(0), // default chunk
 		"guided":         Guided(4),

@@ -56,9 +56,6 @@ func Dynamic(chunk int) Schedule { return Schedule{Kind: ScheduleDynamic, Chunk:
 // Guided returns a guided schedule with the given minimum chunk size.
 func Guided(chunk int) Schedule { return Schedule{Kind: ScheduleGuided, Chunk: chunk} }
 
-// StaticChunked returns a static schedule with round-robin chunks.
-func StaticChunked(chunk int) Schedule { return Schedule{Kind: ScheduleStatic, Chunk: chunk} }
-
 // loopDesc is the shared state of one work-sharing loop instance.
 type loopDesc struct {
 	next   atomic.Int64 // guided, Sections: next unclaimed iteration

@@ -75,39 +75,3 @@ type deferredBox[T any] struct {
 	st   futureState[T]
 	once sync.Once
 }
-
-// PackagedTask wraps a function so that invoking it fulfills an
-// associated future — std::packaged_task. It may be invoked at most
-// once.
-type PackagedTask[T any] struct {
-	fn      func() (T, error)
-	promise *Promise[T]
-	once    sync.Once
-}
-
-// NewPackagedTask wraps fn.
-func NewPackagedTask[T any](fn func() (T, error)) *PackagedTask[T] {
-	return &PackagedTask[T]{fn: fn, promise: NewPromise[T]()}
-}
-
-// Future returns the future that Invoke will fulfill.
-func (t *PackagedTask[T]) Future() *Future[T] { return t.promise.Future() }
-
-// Invoke runs the wrapped function on the calling goroutine and
-// fulfills the future. Subsequent invocations are no-ops. A panic in
-// the wrapped function surfaces as a *sched.PanicError from Get.
-func (t *PackagedTask[T]) Invoke() {
-	t.once.Do(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.promise.SetError(sched.NewPanicError(r))
-			}
-		}()
-		v, err := t.fn()
-		if err != nil {
-			t.promise.SetError(err)
-			return
-		}
-		t.promise.Set(v)
-	})
-}

@@ -119,22 +119,6 @@ func TestPromiseDoubleSetPanics(t *testing.T) {
 	p.Set(2)
 }
 
-func TestBrokenPromise(t *testing.T) {
-	p := NewPromise[int]()
-	p.Break()
-	_, err := p.Future().Get()
-	if !errors.Is(err, ErrBrokenPromise) {
-		t.Fatalf("err = %v, want ErrBrokenPromise", err)
-	}
-	p.Break() // idempotent on satisfied promise
-	p2 := NewPromise[int]()
-	p2.Set(7)
-	p2.Break() // no-op after Set
-	if v, err := p2.Future().Get(); v != 7 || err != nil {
-		t.Fatalf("Break clobbered value: (%d, %v)", v, err)
-	}
-}
-
 func TestAsyncPolicyAsync(t *testing.T) {
 	f := Async(LaunchAsync, func() (int, error) { return 7, nil })
 	v, err := f.Get()
@@ -193,34 +177,6 @@ func TestWaitFor(t *testing.T) {
 	}()
 	if !f.WaitFor(5 * time.Second) {
 		t.Fatal("WaitFor timed out despite Set")
-	}
-}
-
-func TestPackagedTask(t *testing.T) {
-	pt := NewPackagedTask(func() (int, error) { return 9, nil })
-	f := pt.Future()
-	if f.Ready() {
-		t.Fatal("future ready before Invoke")
-	}
-	pt.Invoke()
-	pt.Invoke() // second invoke is a no-op
-	v, err := f.Get()
-	if err != nil || v != 9 {
-		t.Fatalf("Get = (%d, %v), want (9, nil)", v, err)
-	}
-}
-
-func TestPackagedTaskError(t *testing.T) {
-	want := errors.New("task error")
-	pt := NewPackagedTask(func() (int, error) { return 0, want })
-	pt.Invoke()
-	if _, err := pt.Future().Get(); !errors.Is(err, want) {
-		t.Fatalf("err = %v, want %v", err, want)
-	}
-	pt2 := NewPackagedTask(func() (int, error) { panic("pt") })
-	pt2.Invoke()
-	if _, err := pt2.Future().Get(); err == nil {
-		t.Fatal("panic not converted to error")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package futures provides a C++11-style threading layer: Thread
-// (std::thread), Promise/Future (std::promise / std::future), Async
-// with launch policies (std::async), and PackagedTask.
+// (std::thread), Promise/Future (std::promise / std::future) and Async
+// with launch policies (std::async).
 //
 // In the reproduced paper this is the "C++11" contender: parallel
 // loops are expressed by manual chunking — create one thread (or one
@@ -102,9 +102,9 @@ func (t *Thread) Joinable() bool {
 	return !t.joined.Load() && !t.detached.Load()
 }
 
-// ErrBrokenPromise is returned by Future.Get when the promise was
-// dropped without a value — the analogue of std::future_error with
-// broken_promise.
+// ErrBrokenPromise is the error for a promise dropped without a value —
+// the analogue of std::future_error with broken_promise. No operation
+// here breaks a promise, so Future.Get does not return it.
 var ErrBrokenPromise = errors.New("futures: broken promise")
 
 // futureState is the shared state between a Promise and its Future.
@@ -117,10 +117,6 @@ type futureState[T any] struct {
 	ready bool
 	val   T
 	err   error
-}
-
-func newFutureState[T any]() *futureState[T] {
-	return &futureState[T]{done: make(chan struct{})}
 }
 
 // deliver writes the outcome and closes done. It reports whether this
@@ -198,13 +194,6 @@ func (p *Promise[T]) Set(v T) {
 func (p *Promise[T]) SetError(err error) {
 	var zero T
 	p.st.deliver(zero, err, true)
-}
-
-// Break marks the promise abandoned: waiters receive
-// ErrBrokenPromise. Breaking an already satisfied promise is a no-op.
-func (p *Promise[T]) Break() {
-	var zero T
-	p.st.deliver(zero, ErrBrokenPromise, false)
 }
 
 // force runs a deferred future's function on the calling goroutine,

@@ -121,13 +121,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Cell is one (model, threads) measurement.
-type Cell struct {
-	Model   string
-	Threads int
-	Sample  stats.Sample
-}
-
 // Result is the outcome of one experiment run.
 type Result struct {
 	Experiment  *Experiment
@@ -156,12 +149,7 @@ type Result struct {
 	TraceDropped map[string]map[int]int64
 }
 
-// Run executes the experiment under cfg.
-func Run(e *Experiment, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), e, cfg)
-}
-
-// RunCtx is Run with cooperative cancellation: the sweep checks ctx
+// RunCtx executes the experiment under cfg. The sweep checks ctx
 // between repetitions and between (model, threads) cells, so a
 // canceled or expired context aborts the experiment at the next
 // measurement boundary (an in-flight repetition runs to completion)

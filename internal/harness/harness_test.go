@@ -87,7 +87,7 @@ func TestAllWorkloadsVerifyTiny(t *testing.T) {
 
 func TestRunProducesFullGrid(t *testing.T) {
 	e, _ := ByID("fig1")
-	res, err := Run(e, Config{Threads: []int{1, 2}, Reps: 2, Scale: 0.003, Verify: true})
+	res, err := RunCtx(context.Background(), e, Config{Threads: []int{1, 2}, Reps: 2, Scale: 0.003, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestRunProducesFullGrid(t *testing.T) {
 // default heuristic.
 func TestGrainReachesCilkFor(t *testing.T) {
 	e, _ := ByID("fig1")
-	stressed, err := Run(e, Config{Threads: []int{1}, Reps: 1, Scale: 0.01, Grain: 8, Stats: true})
+	stressed, err := RunCtx(context.Background(), e, Config{Threads: []int{1}, Reps: 1, Scale: 0.01, Grain: 8, Stats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := Run(e, Config{Threads: []int{1}, Reps: 1, Scale: 0.01, Stats: true})
+	def, err := RunCtx(context.Background(), e, Config{Threads: []int{1}, Reps: 1, Scale: 0.01, Stats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestGrainReachesCilkFor(t *testing.T) {
 
 func TestRenderOutputs(t *testing.T) {
 	e, _ := ByID("fig2")
-	res, err := Run(e, Config{Threads: []int{1}, Reps: 1, Scale: 0.002})
+	res, err := RunCtx(context.Background(), e, Config{Threads: []int{1}, Reps: 1, Scale: 0.002})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// N returns the number of observed values.
-func (h *Histogram) N() int64 { return h.n.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // histSnapshot is a point-in-time copy of the bucket counts. The copy
 // is not a consistent cut (observers keep writing), so n is derived
 // from the copied buckets rather than the atomic total — that keeps
@@ -60,8 +54,9 @@ func (h *Histogram) snapshot() histSnapshot {
 	return s
 }
 
-// quantile mirrors stats.LogHist.Quantile on a snapshot: the upper
-// edge of the bucket where the cumulative count crosses q*N.
+// quantile returns an upper bound for the q-quantile (q in [0, 1]) of
+// a snapshot: the upper edge of the bucket where the cumulative count
+// crosses q*N, exact to within one bucket (a factor of two).
 func (s *histSnapshot) quantile(q float64) int64 {
 	if s.n == 0 {
 		return 0

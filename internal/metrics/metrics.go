@@ -7,7 +7,7 @@
 // at /metrics.
 //
 // Every update path is a single atomic operation on pre-registered
-// state: Counter.Add, Gauge.Set, and Histogram.Observe allocate
+// state: Counter.Inc, Gauge.Set, and Histogram.Observe allocate
 // nothing (pinned by allocation tests), so instrumentation is cheap
 // enough for request and scheduler hot paths. Contended counters have
 // a padded per-shard fast path (ShardedCounter), mirroring the
@@ -58,9 +58,6 @@ func (k kind) String() string {
 type Counter struct {
 	v atomic.Int64
 }
-
-// Add increments the counter by n (n must be non-negative).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }

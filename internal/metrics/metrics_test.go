@@ -10,9 +10,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("c_total", "help")
 	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+	c.Inc()
+	if got := c.Value(); got != 2 {
+		t.Fatalf("counter = %d, want 2", got)
 	}
 	g := r.Gauge("g", "help")
 	g.Set(2.5)
@@ -67,10 +67,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := int64(1); i <= 1000; i++ {
 		h.Observe(i)
 	}
-	if h.N() != 1000 {
-		t.Fatalf("N = %d, want 1000", h.N())
-	}
 	snap := h.snapshot()
+	if snap.n != 1000 {
+		t.Fatalf("n = %d, want 1000", snap.n)
+	}
 	// Log buckets: the p50 upper bound lands within one power of two
 	// of the true median.
 	if q := snap.quantile(0.5); q < 500 || q > 1024 {
@@ -86,7 +86,10 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9
 
 func TestPrometheusExposition(t *testing.T) {
 	r := New()
-	r.Counter("req_total", "requests", Label{"code", "200"}).Add(7)
+	req := r.Counter("req_total", "requests", Label{"code", "200"})
+	for range 7 {
+		req.Inc()
+	}
 	r.Gauge("depth", "queue depth").Set(3)
 	h := r.Histogram("lat_ns", "latency", Label{"handler", "run"})
 	h.Observe(3) // bucket le=4
@@ -127,7 +130,9 @@ func TestPrometheusExposition(t *testing.T) {
 
 func TestGatherAndScrapeHook(t *testing.T) {
 	r := New()
-	r.Counter("c_total", "help").Add(2)
+	c := r.Counter("c_total", "help")
+	c.Inc()
+	c.Inc()
 	calls := 0
 	r.OnScrape(func() { calls++ })
 	h := r.Histogram("lat_ns", "help")
@@ -157,7 +162,7 @@ func TestUpdatesZeroAlloc(t *testing.T) {
 	h := r.Histogram("h_ns", "help")
 	sc := r.ShardedCounter("s_total", "help", 8)
 	for name, fn := range map[string]func(){
-		"counter.Add":       func() { c.Add(1) },
+		"counter.Inc":       func() { c.Inc() },
 		"gauge.Set":         func() { g.Set(1.5) },
 		"histogram.Observe": func() { h.Observe(12345) },
 		"sharded.Inc":       func() { sc.Inc(3) },

@@ -52,9 +52,6 @@ func (c *ShardedCounter) Value() int64 {
 	return sum
 }
 
-// Shards returns the shard count.
-func (c *ShardedCounter) Shards() int { return len(c.shards) }
-
 // floatBits and floatFromBits convert gauge values to and from their
 // atomic storage representation.
 func floatBits(f float64) uint64     { return math.Float64bits(f) }

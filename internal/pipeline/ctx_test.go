@@ -19,7 +19,7 @@ func TestRunCtxCompletes(t *testing.T) {
 		items[i] = i
 	}
 	var got []int
-	n, err := p.RunCtx(context.Background(), 4, 8, FromSlice(items), func(v any) {
+	n, err := p.RunCtx(context.Background(), 4, 8, fromSlice(items), func(v any) {
 		got = append(got, v.(int))
 	})
 	if err != nil || n != 100 {
@@ -43,13 +43,13 @@ func TestRunCtxCanceled(t *testing.T) {
 	})
 
 	items := make([]int, 64)
-	_, err := p.RunCtx(ctx, 4, 8, FromSlice(items), func(any) {})
+	_, err := p.RunCtx(ctx, 4, 8, fromSlice(items), func(any) {})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	// The pipeline must remain reusable after a canceled run.
-	n, err := p.RunCtx(context.Background(), 2, 4, FromSlice([]int{1, 2, 3}), func(any) {})
+	n, err := p.RunCtx(context.Background(), 2, 4, fromSlice([]int{1, 2, 3}), func(any) {})
 	if err != nil || n != 3 {
 		t.Fatalf("reuse RunCtx = (%d, %v), want (3, nil)", n, err)
 	}
@@ -66,7 +66,7 @@ func TestRunCtxStagePanicTyped(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	_, err := p.RunCtx(context.Background(), 4, 8, FromSlice(items), func(any) {})
+	_, err := p.RunCtx(context.Background(), 4, 8, fromSlice(items), func(any) {})
 	var pe *sched.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *sched.PanicError", err)

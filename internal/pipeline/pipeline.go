@@ -260,16 +260,3 @@ func runParallel(st stage, in <-chan item, out chan<- item, ab *abort, reg *sche
 	inner.Wait()
 	close(out)
 }
-
-// FromSlice adapts a slice into a Run source.
-func FromSlice[T any](items []T) func() (any, bool) {
-	i := 0
-	return func() (any, bool) {
-		if i >= len(items) {
-			return nil, false
-		}
-		v := items[i]
-		i++
-		return v, true
-	}
-}

@@ -16,7 +16,7 @@ func TestModeString(t *testing.T) {
 }
 
 func TestEmptyPipelineErrors(t *testing.T) {
-	if _, err := New().Run(2, 4, FromSlice([]int{1}), func(any) {}); err == nil {
+	if _, err := New().Run(2, 4, fromSlice([]int{1}), func(any) {}); err == nil {
 		t.Fatal("empty pipeline did not error")
 	}
 }
@@ -27,7 +27,7 @@ func TestSerialOnlyOrder(t *testing.T) {
 	})
 	in := []int{1, 2, 3, 4, 5}
 	var got []int
-	n, err := p.Run(4, 2, FromSlice(in), func(v any) { got = append(got, v.(int)) })
+	n, err := p.Run(4, 2, fromSlice(in), func(v any) { got = append(got, v.(int)) })
 	if err != nil || n != 5 {
 		t.Fatalf("Run = (%d, %v)", n, err)
 	}
@@ -60,7 +60,7 @@ func TestParallelThenSerialRestoresOrder(t *testing.T) {
 		in[i] = i
 	}
 	var got []int
-	count, err := p.Run(4, 8, FromSlice(in), func(v any) { got = append(got, v.(int)) })
+	count, err := p.Run(4, 8, fromSlice(in), func(v any) { got = append(got, v.(int)) })
 	if err != nil || count != n {
 		t.Fatalf("Run = (%d, %v)", count, err)
 	}
@@ -90,7 +90,7 @@ func TestThreeStageMixed(t *testing.T) {
 		in[i] = i
 	}
 	sum := 0
-	n, err := p.Run(4, 16, FromSlice(in), func(v any) { sum += v.(int) })
+	n, err := p.Run(4, 16, fromSlice(in), func(v any) { sum += v.(int) })
 	if err != nil || n != 200 {
 		t.Fatalf("Run = (%d, %v)", n, err)
 	}
@@ -117,7 +117,7 @@ func TestErrorAborts(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	n, err := p.Run(4, 8, FromSlice(in), func(any) {})
+	n, err := p.Run(4, 8, fromSlice(in), func(any) {})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -149,7 +149,7 @@ func TestTokenBoundRespected(t *testing.T) {
 		})
 	in := make([]int, 1000)
 	const tokens = 4
-	if _, err := p.Run(8, tokens, FromSlice(in), func(any) {}); err != nil {
+	if _, err := p.Run(8, tokens, fromSlice(in), func(any) {}); err != nil {
 		t.Fatal(err)
 	}
 	// Peak concurrent items between stage entry and exit cannot
@@ -162,7 +162,7 @@ func TestTokenBoundRespected(t *testing.T) {
 func TestPipelineReusable(t *testing.T) {
 	p := New().AddParallel("id", func(v any) (any, error) { return v, nil })
 	for round := 0; round < 3; round++ {
-		n, err := p.Run(2, 2, FromSlice([]int{1, 2, 3}), func(any) {})
+		n, err := p.Run(2, 2, fromSlice([]int{1, 2, 3}), func(any) {})
 		if err != nil || n != 3 {
 			t.Fatalf("round %d: (%d, %v)", round, n, err)
 		}
@@ -190,10 +190,23 @@ func TestQuickSumPreserved(t *testing.T) {
 			AddParallel("inc", func(v any) (any, error) { return v.(int) + 1, nil }).
 			AddSerial("sum", func(v any) (any, error) { return v, nil })
 		got := 0
-		n, err := p.Run(workers, tokens, FromSlice(in), func(v any) { got += v.(int) })
+		n, err := p.Run(workers, tokens, fromSlice(in), func(v any) { got += v.(int) })
 		return err == nil && n == len(in) && got == want
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fromSlice adapts a slice into a Run source.
+func fromSlice[T any](items []T) func() (any, bool) {
+	i := 0
+	return func() (any, bool) {
+		if i >= len(items) {
+			return nil, false
+		}
+		v := items[i]
+		i++
+		return v, true
 	}
 }

@@ -31,11 +31,6 @@ type Graph struct {
 	Edges   []int32
 }
 
-// Degree returns the out-degree of node u.
-func (g *Graph) Degree(u int32) int {
-	return int(g.Offsets[u+1] - g.Offsets[u])
-}
-
 // NumEdges returns the total edge count.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 

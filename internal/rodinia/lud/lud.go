@@ -92,28 +92,6 @@ func Parallel(m models.Model, a []float64, n int) {
 	}
 }
 
-// Reconstruct multiplies the packed L and U factors back into a dense
-// matrix, for verification: out[i][j] = sum_k L[i][k]*U[k][j].
-func Reconstruct(lu []float64, n int) []float64 {
-	out := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			kmax := min(i, j)
-			for k := 0; k < kmax; k++ {
-				s += lu[i*n+k] * lu[k*n+j]
-			}
-			if i <= j {
-				s += lu[i*n+j] // L[i][i] = 1 times U[i][j]
-			} else {
-				s += lu[i*n+j] * lu[j*n+j] // L[i][j] * U[j][j]
-			}
-			out[i*n+j] = s
-		}
-	}
-	return out
-}
-
 // MaxError returns the largest absolute elementwise difference
 // between a and b.
 func MaxError(a, b []float64) float64 {

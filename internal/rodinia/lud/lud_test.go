@@ -29,7 +29,7 @@ func TestSeqFactorizationReconstructs(t *testing.T) {
 	a := make([]float64, len(orig))
 	copy(a, orig)
 	Seq(a, n)
-	back := Reconstruct(a, n)
+	back := reconstruct(a, n)
 	if err := MaxError(back, orig); err > 1e-9 {
 		t.Fatalf("reconstruction error %g", err)
 	}
@@ -76,7 +76,7 @@ func TestParallelReconstructs(t *testing.T) {
 	m := models.MustNew(models.CilkSpawn, 4)
 	defer m.Close()
 	Parallel(m, a, n)
-	if err := MaxError(Reconstruct(a, n), orig); err > 1e-9 {
+	if err := MaxError(reconstruct(a, n), orig); err > 1e-9 {
 		t.Fatalf("reconstruction error %g", err)
 	}
 }
@@ -89,7 +89,7 @@ func TestTinyMatrices(t *testing.T) {
 		a := make([]float64, len(orig))
 		copy(a, orig)
 		Parallel(m, a, n)
-		if err := MaxError(Reconstruct(a, n), orig); err > 1e-12 {
+		if err := MaxError(reconstruct(a, n), orig); err > 1e-12 {
 			t.Fatalf("n=%d: reconstruction error %g", n, err)
 		}
 	}
@@ -102,4 +102,26 @@ func TestMaxError(t *testing.T) {
 	if MaxError(nil, nil) != 0 {
 		t.Fatal("MaxError of empty should be 0")
 	}
+}
+
+// reconstruct multiplies the packed L and U factors back into a dense
+// matrix, for verification: out[i][j] = sum_k L[i][k]*U[k][j].
+func reconstruct(lu []float64, n int) []float64 {
+	out := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			kmax := min(i, j)
+			for k := 0; k < kmax; k++ {
+				s += lu[i*n+k] * lu[k*n+j]
+			}
+			if i <= j {
+				s += lu[i*n+j] // L[i][i] = 1 times U[i][j]
+			} else {
+				s += lu[i*n+j] * lu[j*n+j] // L[i][j] * U[j][j]
+			}
+			out[i*n+j] = s
+		}
+	}
+	return out
 }

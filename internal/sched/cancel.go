@@ -156,14 +156,6 @@ func (r *Region) RecordError(err error) {
 	r.fail(err)
 }
 
-// Err returns the first recorded failure: a *PanicError, the
-// context's error, or nil.
-func (r *Region) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
 // Finish releases the context watcher (if any) and returns the first
 // recorded failure. A context that was canceled before Finish is
 // reported even if the watcher goroutine has not run yet, so callers

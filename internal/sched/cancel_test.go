@@ -94,8 +94,8 @@ func TestPanicErrorCarriesStack(t *testing.T) {
 		panic("kaboom")
 	}()
 	var pe *PanicError
-	if !errors.As(r.Err(), &pe) {
-		t.Fatalf("Err = %v, want *PanicError", r.Err())
+	if err := r.Finish(); !errors.As(err, &pe) {
+		t.Fatalf("Finish = %v, want *PanicError", err)
 	}
 	if !strings.Contains(pe.Error(), "kaboom") {
 		t.Fatalf("Error() = %q lost the panic value", pe.Error())
@@ -111,7 +111,7 @@ func TestPanicErrorCarriesStack(t *testing.T) {
 func TestRegionRecordErrorNil(t *testing.T) {
 	r := NewRegion(context.Background())
 	r.RecordError(nil)
-	if r.Canceled() || r.Err() != nil {
+	if r.Canceled() || r.Finish() != nil {
 		t.Fatal("RecordError(nil) should be a no-op")
 	}
 }

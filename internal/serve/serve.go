@@ -189,12 +189,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Model reports the configured model name.
 func (s *Server) Model() string { return s.cfg.Model }
 
-// Registry returns the server's telemetry registry — what /metrics
-// exposes — or nil when the server was built without Config.Metrics.
-// In-process harnesses scrape it directly instead of going through the
-// HTTP exposition.
-func (s *Server) Registry() *metrics.Registry { return s.registry }
-
 // Close quiesces and releases the runtime. The server must not serve
 // requests afterwards.
 func (s *Server) Close() error {

@@ -101,9 +101,6 @@ func (affinity) Pick(n int, _ func(int) int64, key func() uint64) int {
 	return int(x % uint64(n))
 }
 
-// Balancers lists the recognized balancer names in flag-help order.
-var Balancers = []string{"round-robin", "random", "least-loaded", "affinity"}
-
 // ParseBalancer converts a flag value to a fresh Balancer instance.
 // The empty string selects round-robin.
 func ParseBalancer(s string) (Balancer, error) {

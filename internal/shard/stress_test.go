@@ -31,7 +31,7 @@ func TestResolverStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
 	}
-	for _, name := range Balancers {
+	for _, name := range balancerNames {
 		t.Run(name, func(t *testing.T) {
 			bal, err := ParseBalancer(name)
 			if err != nil {

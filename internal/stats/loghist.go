@@ -66,50 +66,6 @@ func (h *LogHist) Add(v int64) {
 // N returns the number of recorded values.
 func (h *LogHist) N() int64 { return h.n }
 
-// Sum returns the sum of recorded values.
-func (h *LogHist) Sum() int64 { return h.sum }
-
-// Min and Max return the extremes of the recorded values (zero when
-// empty).
-func (h *LogHist) Min() int64 { return h.min }
-func (h *LogHist) Max() int64 { return h.max }
-
-// Mean returns the arithmetic mean of the recorded values, 0 when
-// empty.
-func (h *LogHist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0, 1]):
-// the upper edge of the bucket in which the cumulative count crosses
-// q*N. It is exact to within one bucket (a factor of two).
-func (h *LogHist) Quantile(q float64) int64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(h.n))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			return bucketHi(i)
-		}
-	}
-	return bucketHi(len(h.counts) - 1)
-}
-
 // bucketLo and bucketHi return the inclusive lower and exclusive
 // upper value bounds of bucket i.
 func bucketLo(i int) int64 {

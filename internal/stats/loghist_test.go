@@ -14,9 +14,6 @@ func TestLogHistBuckets(t *testing.T) {
 	if h.N() != 9 {
 		t.Fatalf("N = %d, want 9", h.N())
 	}
-	if h.Min() != 0 || h.Max() != 1000 {
-		t.Fatalf("min/max = %d/%d, want 0/1000", h.Min(), h.Max())
-	}
 	type bucket struct{ lo, hi, count int64 }
 	var got []bucket
 	h.Buckets(func(lo, hi, c int64) { got = append(got, bucket{lo, hi, c}) })
@@ -48,35 +45,6 @@ func TestLogHistPowersOfTwoLandLow(t *testing.T) {
 			t.Fatalf("64 landed in [%d, %d), want [64, 128)", lo, hi)
 		}
 	})
-}
-
-func TestLogHistQuantile(t *testing.T) {
-	var h LogHist
-	for i := 0; i < 90; i++ {
-		h.Add(10) // bucket [8, 16)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(1000) // bucket [512, 1024)
-	}
-	if q := h.Quantile(0.5); q != 16 {
-		t.Fatalf("p50 = %d, want 16 (upper edge of the [8,16) bucket)", q)
-	}
-	if q := h.Quantile(0.99); q != 1024 {
-		t.Fatalf("p99 = %d, want 1024", q)
-	}
-	var empty LogHist
-	if q := empty.Quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %d, want 0", q)
-	}
-}
-
-func TestLogHistMean(t *testing.T) {
-	var h LogHist
-	h.Add(10)
-	h.Add(30)
-	if m := h.Mean(); m != 20 {
-		t.Fatalf("mean = %v, want 20", m)
-	}
 }
 
 func TestLogHistRender(t *testing.T) {

@@ -102,11 +102,3 @@ func Speedup(base, measured time.Duration) float64 {
 	}
 	return float64(base) / float64(measured)
 }
-
-// Efficiency returns parallel efficiency: Speedup / threads.
-func Efficiency(base, measured time.Duration, threads int) float64 {
-	if threads <= 0 {
-		return 0
-	}
-	return Speedup(base, measured) / float64(threads)
-}

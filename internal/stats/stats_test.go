@@ -81,15 +81,6 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestEfficiency(t *testing.T) {
-	if got := Efficiency(8*time.Second, 2*time.Second, 4); got != 1 {
-		t.Fatalf("Efficiency = %g, want 1", got)
-	}
-	if got := Efficiency(time.Second, time.Second, 0); got != 0 {
-		t.Fatalf("Efficiency with 0 threads = %g, want 0", got)
-	}
-}
-
 func TestPercentileNs(t *testing.T) {
 	// 0..100 shuffled: the q-quantile of an arithmetic ramp is exact.
 	ns := make([]int64, 101)

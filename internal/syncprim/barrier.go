@@ -1,12 +1,11 @@
-// Package syncprim implements the synchronization primitives the
-// threading runtimes in this repository are built on: barriers (two
-// algorithms, ablated in the benchmarks), spin and ticket locks, a
-// counting semaphore and a countdown latch.
+// Package syncprim implements the barriers the threading runtimes in
+// this repository are built on: two algorithms, ablated in the
+// benchmarks.
 //
 // The paper compares programming models partly by the synchronization
 // constructs they expose (Table II); this package is the substrate on
-// which internal/forkjoin realizes the OpenMP-style barrier, critical
-// and single constructs.
+// which internal/forkjoin realizes the OpenMP-style barrier and single
+// constructs.
 package syncprim
 
 import (

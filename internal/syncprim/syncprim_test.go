@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
 func barriers(n int) map[string]Barrier {
@@ -108,158 +106,6 @@ func TestBarrierPanicsOnZero(t *testing.T) {
 	}
 }
 
-func TestLocksMutualExclusion(t *testing.T) {
-	locks := map[string]sync.Locker{
-		"spin":   new(SpinLock),
-		"ticket": new(TicketLock),
-	}
-	for name, l := range locks {
-		t.Run(name, func(t *testing.T) {
-			const (
-				workers = 8
-				iters   = 2000
-			)
-			counter := 0 // deliberately unsynchronized; the lock must protect it
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						l.Lock()
-						counter++
-						l.Unlock()
-					}
-				}()
-			}
-			wg.Wait()
-			if counter != workers*iters {
-				t.Fatalf("counter = %d, want %d (lost updates)", counter, workers*iters)
-			}
-		})
-	}
-}
-
-func TestSpinLockTryLock(t *testing.T) {
-	var l SpinLock
-	if !l.TryLock() {
-		t.Fatal("TryLock on free lock failed")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock on held lock succeeded")
-	}
-	l.Unlock()
-	if !l.TryLock() {
-		t.Fatal("TryLock after Unlock failed")
-	}
-	l.Unlock()
-}
-
-func TestLatch(t *testing.T) {
-	l := NewLatch(3)
-	released := make(chan struct{})
-	go func() {
-		l.Wait()
-		close(released)
-	}()
-	for i := 0; i < 2; i++ {
-		l.Done()
-		select {
-		case <-released:
-			t.Fatal("latch opened early")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	l.Done()
-	select {
-	case <-released:
-	case <-time.After(time.Second):
-		t.Fatal("latch never opened")
-	}
-	// Wait on an open latch must not block.
-	l.Wait()
-	if l.Count() != 0 {
-		t.Fatalf("Count = %d, want 0", l.Count())
-	}
-}
-
-func TestLatchAdd(t *testing.T) {
-	l := NewLatch(1)
-	l.Add(2)
-	if l.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", l.Count())
-	}
-	l.Done()
-	l.Done()
-	l.Done()
-	l.Wait()
-}
-
-func TestLatchNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on negative count")
-		}
-	}()
-	l := NewLatch(0)
-	l.Done()
-}
-
-func TestSemaphore(t *testing.T) {
-	s := NewSemaphore(2)
-	s.Acquire()
-	s.Acquire()
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire succeeded with no permits")
-	}
-	if s.Available() != 0 {
-		t.Fatalf("Available = %d, want 0", s.Available())
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire failed with a free permit")
-	}
-	s.Release()
-	s.Release()
-	if s.Available() != 2 {
-		t.Fatalf("Available = %d, want 2", s.Available())
-	}
-}
-
-// TestSemaphoreBounds checks the semaphore invariant: with n permits,
-// at most n goroutines are ever inside the critical region.
-func TestSemaphoreBounds(t *testing.T) {
-	check := func(permits8 uint8) bool {
-		permits := int(permits8%4) + 1
-		s := NewSemaphore(permits)
-		var inside, peak atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < 16; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					s.Acquire()
-					cur := inside.Add(1)
-					for {
-						p := peak.Load()
-						if cur <= p || peak.CompareAndSwap(p, cur) {
-							break
-						}
-					}
-					inside.Add(-1)
-					s.Release()
-				}
-			}()
-		}
-		wg.Wait()
-		return peak.Load() <= int64(permits)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkBarrier(b *testing.B) {
 	for _, parties := range []int{2, 4} {
 		ctors := map[string]func(int) Barrier{
@@ -283,23 +129,5 @@ func BenchmarkBarrier(b *testing.B) {
 				wg.Wait()
 			})
 		}
-	}
-}
-
-func BenchmarkLocks(b *testing.B) {
-	locks := map[string]sync.Locker{
-		"spin":   new(SpinLock),
-		"ticket": new(TicketLock),
-		"mutex":  new(sync.Mutex),
-	}
-	for name, l := range locks {
-		b.Run(name, func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					l.Lock()
-					l.Unlock() //nolint:staticcheck // empty critical section is the point
-				}
-			})
-		})
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"threading/internal/stats"
 )
 
 func TestNilTracerFastPath(t *testing.T) {
@@ -238,6 +240,17 @@ func TestExportChromeSynthesizesLostStart(t *testing.T) {
 	}
 }
 
+// soleBucket returns the bounds of h's only non-empty bucket, failing
+// unless h holds exactly one value.
+func soleBucket(t *testing.T, h *stats.LogHist) (lo, hi int64) {
+	t.Helper()
+	if h.N() != 1 {
+		t.Fatalf("histogram holds %d values, want 1", h.N())
+	}
+	h.Buckets(func(l, u, _ int64) { lo, hi = l, u })
+	return lo, hi
+}
+
 func TestSummarize(t *testing.T) {
 	// Hand-built two-worker trace: w0 runs two tasks back to back,
 	// w1 steals after hunting and runs one chunk.
@@ -273,15 +286,12 @@ func TestSummarize(t *testing.T) {
 	if w1.Steals != 1 || w1.FailedSteals != 1 || w1.Chunks != 1 {
 		t.Fatalf("w1 summary wrong: %+v", w1)
 	}
-	if s.StealLatency.N() != 1 {
-		t.Fatalf("steal latency samples = %d, want 1", s.StealLatency.N())
-	}
 	// Hungry since the window edge (TS 0), stole at 40.
-	if got := s.StealLatency.Sum(); got != 40 {
-		t.Fatalf("steal latency = %d, want 40", got)
+	if lo, hi := soleBucket(t, &s.StealLatency); lo != 32 || hi != 64 {
+		t.Fatalf("steal latency in [%d, %d), want 40 in [32, 64)", lo, hi)
 	}
-	if s.ChunkSizes.N() != 1 || s.ChunkSizes.Sum() != 16 {
-		t.Fatalf("chunk sizes wrong: n=%d sum=%d", s.ChunkSizes.N(), s.ChunkSizes.Sum())
+	if lo, hi := soleBucket(t, &s.ChunkSizes); lo != 16 || hi != 32 {
+		t.Fatalf("chunk size in [%d, %d), want 16 in [16, 32)", lo, hi)
 	}
 	// max busy 200, mean (200+60)/2 = 130.
 	if got, want := s.Imbalance, 200.0/130.0; got < want-1e-9 || got > want+1e-9 {

@@ -34,12 +34,6 @@ type Params struct {
 	QNum, QDen uint64
 }
 
-// ExpectedSize returns the expected node count of the tree.
-func (p Params) ExpectedSize() float64 {
-	q := float64(p.QNum) / float64(p.QDen)
-	return 1 + float64(p.RootChildren)/(1-float64(p.M)*q)
-}
-
 // valid panics on parameter combinations that give infinite trees.
 func (p Params) valid() {
 	if p.QDen == 0 || p.RootChildren < 0 || p.M < 0 {
@@ -155,9 +149,4 @@ func countScope(s models.TaskScope, p Params, id uint64, depth, seqDepth int, co
 // large enough to be unbalanced, small enough for tests.
 func Small(seed uint64) Params {
 	return Params{Seed: seed, RootChildren: 200, M: 4, QNum: 2475, QDen: 10000}
-}
-
-// Medium returns parameters for roughly 200k expected nodes.
-func Medium(seed uint64) Params {
-	return Params{Seed: seed, RootChildren: 2000, M: 4, QNum: 2475, QDen: 10000}
 }

@@ -30,7 +30,7 @@ func TestDifferentSeedsDifferentTrees(t *testing.T) {
 func TestExpectedSizeBallpark(t *testing.T) {
 	// Average over seeds should be near the analytic expectation.
 	p := Small(0)
-	want := p.ExpectedSize()
+	want := expectedSize(p)
 	var total int64
 	const trees = 30
 	for s := uint64(0); s < trees; s++ {
@@ -119,13 +119,9 @@ func TestTreeIsUnbalanced(t *testing.T) {
 	}
 }
 
-func TestMediumLargerThanSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("medium tree in -short mode")
-	}
-	small := CountSeq(Small(5))
-	medium := CountSeq(Medium(5))
-	if medium <= small {
-		t.Fatalf("Medium (%d) not larger than Small (%d)", medium, small)
-	}
+// expectedSize returns the expected node count of the tree p
+// describes.
+func expectedSize(p Params) float64 {
+	q := float64(p.QNum) / float64(p.QDen)
+	return 1 + float64(p.RootChildren)/(1-float64(p.M)*q)
 }

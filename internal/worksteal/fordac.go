@@ -203,12 +203,6 @@ func NewReducer[T any](p *Pool, identity T, combine func(a, b T) T) *Reducer[T] 
 	return r
 }
 
-// Update folds v into the calling worker's private view.
-func (r *Reducer[T]) Update(c *Ctx, v T) {
-	id := c.WorkerID()
-	r.views[id].v = r.combine(r.views[id].v, v)
-}
-
 // View returns a pointer to the calling worker's private view, for
 // callers that want to accumulate in place within a chunk.
 func (r *Reducer[T]) View(c *Ctx) *T {
@@ -223,11 +217,4 @@ func (r *Reducer[T]) Value() T {
 		acc = r.combine(acc, r.views[i].v)
 	}
 	return acc
-}
-
-// Reset restores every view to the identity element.
-func (r *Reducer[T]) Reset() {
-	for i := range r.views {
-		r.views[i].v = r.identity
-	}
 }

@@ -10,7 +10,7 @@
 //     lock-based deque backend modelling the Intel OpenMP task
 //     runtime;
 //   - a C++11-style layer (Thread/Join, Promise/Future, Async with
-//     launch policies, PackagedTask);
+//     launch policies);
 //   - six benchmark-ready model configurations (omp_for, omp_task,
 //     cilk_for, cilk_spawn, cpp_thread, cpp_async) behind one Model
 //     interface;
@@ -82,8 +82,9 @@ type PanicError = sched.PanicError
 // sharded form; test with errors.Is.
 var ErrTasksUnsupported = models.ErrTasksUnsupported
 
-// ErrBrokenPromise is returned by Future.Get when the promise was
-// dropped without a value.
+// ErrBrokenPromise is the error for a promise dropped without a value.
+// No operation in this module breaks a promise, so Future.Get does not
+// return it.
 var ErrBrokenPromise = futures.ErrBrokenPromise
 
 // Model is one threading-model configuration; see internal/models.
