@@ -150,7 +150,7 @@ func (t *Team) serialFor(reg *sched.Region, s Schedule, lo, hi int, body func(l,
 // join before returning.
 func (t *Team) Quiesce() error { return t.async.Wait() }
 
-// PendingWork reports the team's count of queued-but-not-taken
-// explicit tasks — the signal a least-loaded balancer reads when
-// choosing a shard.
+// PendingWork reports the explicit tasks queued on the team's deques,
+// not yet taken; advisory — the signal a least-loaded balancer reads
+// when choosing a shard.
 func (t *Team) PendingWork() int64 { return t.core.Pending() }

@@ -12,7 +12,6 @@ package futures
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -101,11 +100,6 @@ func (t *Thread) Detach() {
 func (t *Thread) Joinable() bool {
 	return !t.joined.Load() && !t.detached.Load()
 }
-
-// ErrBrokenPromise is the error for a promise dropped without a value —
-// the analogue of std::future_error with broken_promise. No operation
-// here breaks a promise, so Future.Get does not return it.
-var ErrBrokenPromise = errors.New("futures: broken promise")
 
 // futureState is the shared state between a Promise and its Future.
 // done is closed once val/err are written, so waiters can block on a

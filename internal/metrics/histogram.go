@@ -10,14 +10,13 @@ import (
 // Histogram is the concurrent counterpart of stats.LogHist: the same
 // 65-bucket log-2 geometry (stats.BucketOf / stats.BucketBounds), but
 // every bucket is an atomic counter so many goroutines can Observe
-// without locks. Observe is three atomic adds and no allocation —
+// without locks. Observe is two atomic adds and no allocation —
 // cheap enough for the per-request latency path.
 //
 // The zero Histogram is ready; obtain registered histograms from
 // Registry.Histogram.
 type Histogram struct {
 	counts [stats.NumBuckets]atomic.Int64
-	n      atomic.Int64
 	sum    atomic.Int64
 }
 
@@ -28,15 +27,14 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.counts[stats.BucketOf(v)].Add(1)
-	h.n.Add(1)
 	h.sum.Add(v)
 }
 
 // histSnapshot is a point-in-time copy of the bucket counts. The copy
 // is not a consistent cut (observers keep writing), so n is derived
-// from the copied buckets rather than the atomic total — that keeps
-// the cumulative bucket lines and the _count line exposition emits
-// mutually consistent, which Prometheus requires.
+// from the copied buckets — that keeps the cumulative bucket lines and
+// the _count line exposition emits mutually consistent, which
+// Prometheus requires.
 type histSnapshot struct {
 	counts [stats.NumBuckets]int64
 	n      int64

@@ -8,13 +8,11 @@ import (
 
 // SchedTarget is the view of a scheduler the stall watchdog observes.
 // worksteal.Pool and shard.Resolver satisfy it; forkjoin.Team does
-// not. Its members wait between regions blocked on the team's region
-// channel, not parked, and park only at a region-end gate, inside a
-// region whose caller is waiting for it; so the team reports no parked
-// count, and the watchdog is a work-stealing-family facility —
-// callers gate on a type assertion.
+// not, as it reports no parked count, so the watchdog is a
+// work-stealing-family facility — callers gate on a type assertion.
 type SchedTarget interface {
-	// PendingWork returns tasks admitted but not yet completed.
+	// PendingWork returns the records queued on the runtime's deques
+	// and inbox, not yet taken; advisory.
 	PendingWork() int64
 	// ParkedWorkers returns workers currently blocked in park.
 	ParkedWorkers() int

@@ -13,7 +13,9 @@ import (
 // TaskCore is the per-worker task layer both task runtimes embed: one
 // TaskSlot per worker (its deque, record arena, steal buffer and
 // parker) plus the state the slots share (the arena's overflow
-// freelist, the queued-record count and the park/wake handshake).
+// freelist and the park/wake handshake). A push and a take touch only
+// the owner's deque; the rare readers of queued work (Park's re-check,
+// Find's wake pass-on, Pending) scan the deques.
 // forkjoin's explicit tasks and worksteal's spawns run on it alike, so
 // omp_task and cilk_spawn differ in deque kind and in the region and
 // join semantics built on top, not in how records are recycled,
@@ -29,11 +31,9 @@ type TaskCore[T any] struct {
 	freeMu sync.Mutex
 	free   []*T
 
-	// Every push and take moves pending, every idle transition moves
-	// searching or parkedCount; each gets its own cache line.
+	// Every idle transition moves searching or parkedCount; each gets
+	// its own cache line.
 	_           [CacheLine]byte
-	pending     atomic.Int64 // queued, not yet taken (conservative)
-	_           [CacheLine - 8]byte
 	searching   atomic.Int64 // slots looking for work before they park
 	_           [CacheLine - 8]byte
 	parkedCount atomic.Int64 // slots parked, or publishing that they park
@@ -102,8 +102,29 @@ func NewTaskCore[T any](n int, kind deque.Kind, stats *Stats, tr *tracez.Tracer,
 // Slot returns slot i.
 func (c *TaskCore[T]) Slot(i int) *TaskSlot[T] { return c.slots[i] }
 
-// Pending reports the records queued but not yet taken.
-func (c *TaskCore[T]) Pending() int64 { return c.pending.Load() }
+// Pending reports the records queued on the slots' deques and the
+// inbox, not yet taken. It is advisory: a batch a thief has taken and
+// not yet requeued is on no deque, and the deques move as it reads.
+func (c *TaskCore[T]) Pending() int64 {
+	var n int
+	for _, s := range c.slots {
+		n += s.dq.Len()
+	}
+	if c.inbox != nil {
+		n += c.inbox.Len()
+	}
+	return int64(n)
+}
+
+// queued reports whether any slot's deque or the inbox holds a record.
+func (c *TaskCore[T]) queued() bool {
+	for _, s := range c.slots {
+		if s.dq.Len() > 0 {
+			return true
+		}
+	}
+	return c.inbox != nil && c.inbox.Len() > 0
+}
 
 // Parked reports the slots parked or committed to parking. Like the
 // handshake itself it is advisory and may be momentarily stale.
@@ -117,7 +138,6 @@ func (c *TaskCore[T]) Demand() bool {
 // Submit queues r on the core's inbox, for whichever slot finds it
 // first. The core must have been built with an inbox.
 func (c *TaskCore[T]) Submit(r *T) {
-	c.pending.Add(1)
 	c.inbox.PushBottom(r)
 	c.signal()
 }
@@ -131,8 +151,8 @@ func (c *TaskCore[T]) WakeAll() {
 }
 
 // signal wakes one parked slot, unless a slot is searching: the
-// searcher finds the new work on its sweep, or re-reads pending as it
-// parks.
+// searcher finds the new work on its sweep, or re-scans the deques as
+// it parks.
 func (c *TaskCore[T]) signal() {
 	if c.searching.Load() == 0 && c.parkedCount.Load() > 0 {
 		c.wake(false)
@@ -222,7 +242,6 @@ func (s *TaskSlot[T]) Len() int { return s.dq.Len() }
 // Push queues r on the slot's deque and wakes a parked slot to take it
 // unless one is searching.
 func (s *TaskSlot[T]) Push(r *T) {
-	s.core.pending.Add(1)
 	s.dq.PushBottom(r)
 	s.core.signal()
 }
@@ -231,16 +250,18 @@ func (s *TaskSlot[T]) Push(r *T) {
 // the inbox, then one randomized sweep over the other slots. A steal
 // takes up to half the victim's queue; the thief keeps the oldest
 // record, requeues the rest on its own deque for other thieves, and
-// passes the wake on while work is left. Nil means all looked empty.
+// passes the wake on while work is left. A take from the inbox or a
+// victim ends the slot's search first, so its own searching flag does
+// not swallow that wake (see Park). Nil means all looked empty.
 func (s *TaskSlot[T]) Find() *T {
 	c := s.core
 	if r := s.dq.PopBottom(); r != nil {
-		c.pending.Add(-1)
 		return r
 	}
 	if c.inbox != nil {
 		if r := c.inbox.Steal(); r != nil {
-			if c.pending.Add(-1) > 0 {
+			s.Search(false)
+			if c.queued() {
 				c.signal()
 			}
 			return r
@@ -271,7 +292,8 @@ func (s *TaskSlot[T]) Find() *T {
 		}
 		r := s.stealBuf[0]
 		s.stealBuf[0] = nil
-		if c.pending.Add(-1) > 0 || k > 1 { // took k, requeued k-1
+		s.Search(false)
+		if k > 1 || c.queued() { // requeued k-1, or the victim has more
 			c.signal()
 		}
 		return r
@@ -303,24 +325,34 @@ func (s *TaskSlot[T]) Search(on bool) {
 // real or spurious, and callers re-check their condition.
 //
 // No wake-up is lost. The slot withdraws from searching, raises
-// parkedCount and sets parked before it re-reads pending and
-// stillIdle. A pusher raises pending before it reads searching and
-// parkedCount and claims a parked flag; whoever turns stillIdle false
-// (a gate's last arrival, Close) does so before WakeAll reads
-// parkedCount. Go's atomics are sequentially consistent, so either the
-// re-read here sees the record or the condition and the slot does not
-// block, or the waker sees the slot published and unparks it — and an
-// Unpark that lands before Park leaves a token, so it is not lost
-// either. A pusher that reads searching > 0 wakes nobody: that
-// searcher finds the record on its sweep, or parks, and then its own
-// re-read sees pending > 0. A token left by a waker that raced a slot
-// which then did not block only cuts a later Park short.
+// parkedCount and sets parked before it re-scans every deque and the
+// inbox and re-reads stillIdle. A pusher puts the record on its deque
+// (or the inbox) before it reads searching and parkedCount and claims
+// a parked flag; whoever turns stillIdle false (a gate's last arrival,
+// Close) does so before WakeAll reads parkedCount. Go's atomics are
+// sequentially consistent, and a Locked deque's mutex orders its Len
+// after or before the push, so either the re-scan here sees the record
+// or the condition and the slot does not block, or the waker sees the
+// slot published and unparks it — and an Unpark that lands before Park
+// leaves a token, so it is not lost either. A pusher that reads
+// searching > 0 wakes nobody: that searcher finds the record on its
+// sweep, or parks, and then its own re-scan sees the record.
+//
+// One window has no record on any deque: a batch a thief has taken
+// off a victim and not yet requeued on its own. The re-scan can miss
+// it, so the thief's signal after the requeue is what covers it, and
+// that is why the thief leaves searching before it signals (Find): a
+// thief still counted as searching would read its own flag and wake
+// nobody, and the batch would wait for the thief to finish its record.
+// The requeue comes before the thief reads parkedCount, so the same
+// argument as for a push holds. A token left by a waker that raced a
+// slot which then did not block only cuts a later Park short.
 func (s *TaskSlot[T]) Park(stillIdle func() bool) {
 	c := s.core
 	s.Search(false)
 	c.parkedCount.Add(1)
 	s.parked.Store(true)
-	if c.pending.Load() == 0 && stillIdle() {
+	if !c.queued() && stillIdle() {
 		s.FlushFree()
 		s.st.CountPark()
 		s.ring.Record(tracez.KindPark, 0, 0)

@@ -38,11 +38,13 @@ type coreRound struct {
 // (some only once another slot has parked), then waits at a gate the
 // way forkjoin's region end does: it finds and runs records while any
 // is live, searches for a few rounds, then parks with a stillIdle
-// predicate; the last arrival's WakeAll ends the round. Records spawn
+// predicate — the gate's own (no record live, not all arrived) in even
+// rounds, one blind to records as the pool's is in odd rounds; the
+// last arrival's WakeAll ends the round. Records spawn
 // children when run. Every record must run exactly once; a pusher
 // that waits for its record while another slot is at the gate must
 // see it run within a bounded time, or the test names the slots left
-// parked with work pending; at quiescence every record in the arenas
+// parked with work queued; at quiescence every record in the arenas
 // is in one list only and both arena caps hold; and the goroutines are
 // gone at the end.
 func TestTaskCoreHandshakeStress(t *testing.T) {
@@ -175,7 +177,14 @@ func (r *coreRound) owner(s *TaskSlot[stressRec]) {
 		// Yield between deciding to park and parking: the window the
 		// re-check after publishing parked closes.
 		runtime.Gosched()
-		s.Park(func() bool { return r.live.Load() == 0 && r.arrived.Load() < r.n })
+		if r.seed%2 == 0 {
+			s.Park(func() bool { return r.live.Load() == 0 && r.arrived.Load() < r.n })
+		} else {
+			// Blind to queued work, as a pool worker's is: only Park's
+			// own re-scan of the deques keeps the slot from sleeping
+			// on a record pushed since live was read.
+			s.Park(func() bool { return r.arrived.Load() < r.n })
+		}
 	}
 }
 
@@ -229,7 +238,7 @@ func (r *coreRound) awaitParked(d time.Duration) {
 	}
 }
 
-// parkedWithWork names the slots parked while records are pending.
+// parkedWithWork names the slots parked while records are queued.
 func parkedWithWork(c *TaskCore[stressRec]) string {
 	var parked []string
 	for _, s := range c.slots {
@@ -237,15 +246,17 @@ func parkedWithWork(c *TaskCore[stressRec]) string {
 			parked = append(parked, fmt.Sprint(s.id))
 		}
 	}
-	return fmt.Sprintf("pending=%d, parked slots [%s]", c.Pending(), strings.Join(parked, " "))
+	return fmt.Sprintf("queued=%d, parked slots [%s]", c.Pending(), strings.Join(parked, " "))
 }
 
 // checkArena checks the core at quiescence: nothing queued, no steal
 // buffer entry left, every free record in exactly one list, and both
-// arena caps held.
+// arena caps held. Pending sums the deques' lengths, so its check
+// asserts that every deque is empty (as the per-slot check below
+// does), not that a queued-work count balances.
 func checkArena(c *TaskCore[stressRec]) error {
 	if p := c.Pending(); p != 0 {
-		return fmt.Errorf("pending = %d at quiescence", p)
+		return fmt.Errorf("%d records queued at quiescence", p)
 	}
 	seen := make(map[*stressRec]string)
 	note := func(rec *stressRec, list string) error {

@@ -62,8 +62,8 @@ func (b *random) Pick(n int, _ func(int) int64, _ func() uint64) int {
 
 // LeastLoaded returns a balancer picking the shard with the smallest
 // current load: the Resolver's in-flight dispatch count plus the
-// runtime's own pending-work counter (worksteal's queued-task count,
-// forkjoin's live explicit tasks). Ties go to the lowest index.
+// runtime's queued work (PendingWorker: the records on its deques and
+// inbox, not yet taken). Ties go to the lowest index.
 func LeastLoaded() Balancer { return leastLoaded{} }
 
 type leastLoaded struct{}

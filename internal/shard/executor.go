@@ -54,9 +54,10 @@ type Executor interface {
 	Close()
 }
 
-// PendingWorker is implemented by executors that expose a conservative
-// queued-work counter. The least-loaded balancer folds it into a
-// shard's load alongside the Resolver's own in-flight count.
+// PendingWorker is implemented by executors that report their queued
+// work: the records queued on the runtime's deques and inbox, not yet
+// taken; advisory. The least-loaded balancer folds it into a shard's
+// load alongside the Resolver's own in-flight count.
 type PendingWorker interface {
 	PendingWork() int64
 }

@@ -36,7 +36,7 @@ type handle struct {
 }
 
 // load is the signal the least-loaded balancer reads: assigned-but-
-// unfinished dispatches plus the runtime's own queued-work counter.
+// unfinished dispatches plus the runtime's queued work (PendingWorker).
 func (h *handle) load() int64 {
 	l := h.inflight.Load()
 	if pw, ok := h.exec.(PendingWorker); ok {

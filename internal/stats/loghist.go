@@ -19,9 +19,6 @@ import (
 type LogHist struct {
 	counts [65]int64
 	n      int64
-	sum    int64
-	min    int64
-	max    int64
 }
 
 // NumBuckets is the fixed bucket count of the log-bucket geometry.
@@ -47,19 +44,9 @@ func bucketOf(v int64) int {
 	return bits.Len64(uint64(v))
 }
 
-// Add records one value. Negative values are clamped to zero.
+// Add records one value. Negative values land in bucket 0, as zero.
 func (h *LogHist) Add(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
 	h.n++
-	h.sum += v
 	h.counts[bucketOf(v)]++
 }
 

@@ -78,7 +78,7 @@ func (p *Pool) SubmitCtx(ctx context.Context, fn func()) error {
 // join before returning.
 func (p *Pool) Quiesce() error { return p.async.Wait() }
 
-// PendingWork reports the pool's conservative count of queued-but-not-
-// taken tasks — the signal a least-loaded balancer reads when choosing
-// a shard.
+// PendingWork reports the tasks queued on the pool's deques and inbox,
+// not yet taken; advisory — the signal a least-loaded balancer reads
+// when choosing a shard.
 func (p *Pool) PendingWork() int64 { return p.core.Pending() }

@@ -20,8 +20,9 @@
 //
 // Deques, record arenas, stealing and the park/wake handshake are the
 // task core (sched.TaskCore) that forkjoin's team embeds too: thieves
-// migrate half a victim's queue per visit, and wake-ups are throttled
-// through the core's pending-work counter instead of broadcast scans.
+// migrate half a victim's queue per visit, and a push wakes one parked
+// worker only when none is searching, instead of broadcasting; a push
+// and a take touch only the owner's deque, with no shared count.
 // The pool adds Cilk's frames and joins on top: submitters join
 // help-first (the goroutine calling RunCtx executes tasks until its
 // root frame drains instead of parking), and ForDAC's range tasks.

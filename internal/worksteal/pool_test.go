@@ -1,6 +1,7 @@
 package worksteal
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -270,6 +271,50 @@ func TestConcurrentRuns(t *testing.T) {
 	}
 	if total.Load() != runs*1000 {
 		t.Fatalf("total = %d, want %d", total.Load(), runs*1000)
+	}
+}
+
+// TestPoolPendingWorkCountsQueuedTasks pins PendingWork to the tasks
+// queued on the deques and not yet taken, the pool-side mirror of
+// forkjoin's TestTeamPendingWorkCountsQueuedTasks. On a one-worker
+// pool the root first holds the worker in a blocker child, so nothing
+// is stolen, then spawns three children: PendingWork reads 3 before
+// the implicit sync, and 2 in the first child to run, which releases
+// the blocker. Once Run returns nothing is queued, on either deque
+// kind.
+func TestPoolPendingWorkCountsQueuedTasks(t *testing.T) {
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			p := NewPool(1, WithDequeKind(be.kind))
+			defer p.Close()
+			var started, release atomic.Bool
+			var before, during int64
+			p.Run(func(c *Ctx) {
+				c.Spawn(func(*Ctx) {
+					started.Store(true)
+					for !release.Load() {
+						runtime.Gosched()
+					}
+				})
+				for !started.Load() {
+					runtime.Gosched()
+				}
+				for range 3 {
+					c.Spawn(func(*Ctx) {
+						if !release.Load() {
+							during = p.PendingWork()
+							release.Store(true)
+						}
+					})
+				}
+				before = p.PendingWork()
+			})
+			after := p.core.Pending()
+			if before != 3 || during != 2 || after != 0 {
+				t.Fatalf("PendingWork = %d before the sync, %d in the first child, Pending = %d after Run; want 3, 2, 0",
+					before, during, after)
+			}
+		})
 	}
 }
 

@@ -82,11 +82,6 @@ type PanicError = sched.PanicError
 // sharded form; test with errors.Is.
 var ErrTasksUnsupported = models.ErrTasksUnsupported
 
-// ErrBrokenPromise is the error for a promise dropped without a value.
-// No operation in this module breaks a promise, so Future.Get does not
-// return it.
-var ErrBrokenPromise = futures.ErrBrokenPromise
-
 // Model is one threading-model configuration; see internal/models.
 type Model = models.Model
 
