@@ -49,11 +49,19 @@ func (r *ring[T]) grow(top, bottom int64) *ring[T] {
 // invalidate the owner's line (and vice versa). Splitting them keeps
 // the owner's hot push/pop traffic on a line thieves only read when
 // sizing a batch.
+//
+// The trailing pad makes the header exactly two lines (128 bytes), so
+// it lands in Go's 128-byte size class, whose objects sit at multiples
+// of 128 in a page-aligned span: top's line and bottom's line are then
+// the header's own. Without it the header is 80 bytes, the 80-byte
+// class packs the task core's per-slot deques 80 bytes apart, and one
+// slot's bottom shares a line with the next slot's top.
 type ChaseLev[T any] struct {
 	top    atomic.Int64
-	_      [56]byte // rest of top's cache line (64 - 8)
+	_      [CacheLine - 8]byte
 	bottom atomic.Int64
 	buf    atomic.Pointer[ring[T]]
+	_      [CacheLine - 16]byte
 }
 
 // NewChaseLev returns an empty lock-free deque.

@@ -19,6 +19,14 @@
 // configured with either.
 package deque
 
+// CacheLine is the assumed cache-line size in bytes. Hot structs that
+// are written by different workers are padded in units of this so
+// their stores do not false-share; 64 covers every platform this
+// module targets (x86-64 and arm64 both use 64-byte lines). It lives
+// here, the lowest package that pads, so the deque headers and the
+// schedulers built on them agree on one value (sched.CacheLine).
+const CacheLine = 64
+
 // Deque is a work-stealing deque of *T. The owner worker calls
 // PushBottom and PopBottom; any other worker may call Steal
 // concurrently. A nil return means the deque was (or appeared) empty.

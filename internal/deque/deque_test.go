@@ -1,10 +1,12 @@
 package deque
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 var kinds = []Kind{KindChaseLev, KindLocked}
@@ -445,5 +447,29 @@ func BenchmarkStealContention(b *testing.B) {
 			done.Store(true)
 			wg.Wait()
 		})
+	}
+}
+
+// TestDequeHeadersFillWholeLines pins the layout that keeps one
+// deque's hot words off its neighbours' lines: a header whose size is a
+// multiple of CacheLine lands in a size class whose objects are all
+// line-aligned, so no other object shares its lines.
+func TestDequeHeadersFillWholeLines(t *testing.T) {
+	sizes := map[Kind]uintptr{
+		KindChaseLev: unsafe.Sizeof(ChaseLev[int]{}),
+		KindLocked:   unsafe.Sizeof(Locked[int]{}),
+	}
+	for _, k := range kinds {
+		if sizes[k]%CacheLine != 0 {
+			t.Errorf("%v: header is %d bytes, want a multiple of %d", k, sizes[k], CacheLine)
+		}
+		ds := make([]Deque[int], 64) // kept live so each New gets a fresh object
+		for i := range ds {
+			ds[i] = New[int](k)
+			if a := reflect.ValueOf(ds[i]).Pointer(); a%CacheLine != 0 {
+				t.Errorf("%v: deque %d at %#x, %d bytes into a line", k, i, a, a%CacheLine)
+				break
+			}
+		}
 	}
 }

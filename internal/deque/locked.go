@@ -7,9 +7,16 @@ import "sync"
 // and every thief contend on a single lock, so under heavy stealing
 // (fine-grained recursive tasks such as Fibonacci) the lock becomes a
 // serialization point. The zero value is ready to use.
+//
+// Every push, pop and steal writes mu, so the trailing pad makes the
+// header one whole line (64 bytes): Go's 64-byte size class keeps it
+// line-aligned. Unpadded it is 32 bytes, and the 32-byte class puts a
+// second deque header, or a Chase-Lev ring header that every push and
+// pop reads, on the same line.
 type Locked[T any] struct {
-	mu    sync.Mutex
-	items []*T
+	mu    sync.Mutex // 8 bytes
+	items []*T       // 24 bytes
+	_     [CacheLine - 32]byte
 }
 
 // NewLocked returns an empty lock-based deque.

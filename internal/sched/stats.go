@@ -3,13 +3,13 @@ package sched
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"threading/internal/deque"
 )
 
-// CacheLine is the assumed cache-line size in bytes. Hot structs that
-// are written by different workers are padded in units of this so
-// their stores do not false-share; 64 covers every platform this
-// module targets (x86-64 and arm64 both use 64-byte lines).
-const CacheLine = 64
+// CacheLine is the assumed cache-line size in bytes, deque.CacheLine
+// under the name the scheduler layers pad with.
+const CacheLine = deque.CacheLine
 
 // Stats aggregates scheduler event counters, sharded per worker so
 // that hot paths (a counter bump per spawned task) never contend on a

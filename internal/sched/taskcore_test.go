@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -293,4 +294,30 @@ func checkArena(c *TaskCore[stressRec]) error {
 		}
 	}
 	return nil
+}
+
+// TestTaskCoreDequesShareNoLine: a slot's bottom, written by its owner
+// on every push and pop, must not share a line with another slot's
+// thief-CAS'd top or with the inbox's mutex, so no two deque headers
+// of one core, inbox included, may touch the same cache line.
+func TestTaskCoreDequesShareNoLine(t *testing.T) {
+	for _, kind := range []deque.Kind{deque.KindChaseLev, deque.KindLocked} {
+		const n = 6
+		c := NewTaskCore[stressRec](n, kind, NewStats(n), nil, true)
+		owner := map[uintptr]string{} // line index -> header on it
+		claim := func(name string, header any) {
+			v := reflect.ValueOf(header)
+			addr, size := v.Pointer(), v.Elem().Type().Size()
+			for line := addr / CacheLine; line <= (addr+size-1)/CacheLine; line++ {
+				if other, ok := owner[line]; ok {
+					t.Errorf("%v: %s and %s share the line at %#x", kind, other, name, line*CacheLine)
+				}
+				owner[line] = name
+			}
+		}
+		for _, s := range c.slots {
+			claim(fmt.Sprintf("slot %d", s.id), s.dq)
+		}
+		claim("the inbox", c.inbox)
+	}
 }

@@ -25,16 +25,40 @@ func allocsPerRun(p *Pool, spawns int, body func(*Ctx)) float64 {
 	return testing.AllocsPerRun(10, run)
 }
 
+// fillArena leaves at least n task records circulating in p's arenas.
+// A record recycles into the arena of the slot that ran it, and a
+// thief keeps part of what it recycled, so a warm-up of plain runs
+// only grows the population as far as those runs' steals needed: a
+// later run whose thieves take more can find the spawner's arena dry
+// and allocate, which -race's slowdown makes common. Here every body
+// waits at a gate the root opens after its last spawn, so all n
+// records are live at once, and they stay in circulation afterwards.
+func fillArena(p *Pool, n int) {
+	gate := make(chan struct{})
+	wait := func(*Ctx) { <-gate }
+	p.Run(func(c *Ctx) {
+		for i := 0; i < n; i++ {
+			c.Spawn(wait)
+		}
+		close(gate)
+		c.Sync()
+	})
+}
+
 // TestSpawnZeroAlloc proves the arena removes the per-spawn
 // allocation: quadrupling the spawn count must not move the per-run
 // allocation count (the fixed Run overhead — frame, region, root
-// closure — cancels in the differential).
+// closure — cancels in the differential). The arena is first filled
+// past what a 256-spawn run can need (its own records plus every
+// thief's hoard, at most maxLocalFree each), so neither size is
+// measured while the record population is still growing.
 func TestSpawnZeroAlloc(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	var sink atomic.Int64
 	body := func(*Ctx) { sink.Add(1) }
 
+	fillArena(p, 1024)
 	small := allocsPerRun(p, 64, body)
 	big := allocsPerRun(p, 256, body)
 	perSpawn := (big - small) / 192

@@ -3,6 +3,7 @@ package worksteal
 import (
 	"fmt"
 
+	"threading/internal/sched"
 	"threading/internal/tracez"
 )
 
@@ -184,7 +185,7 @@ type Reducer[T any] struct {
 // benchmarks would measure cache-line ping-pong instead of scheduling.
 type paddedView[T any] struct {
 	v T
-	_ [64]byte
+	_ [sched.CacheLine]byte
 }
 
 // NewReducer returns a reducer for the pool with the given identity
